@@ -3,10 +3,13 @@
 //
 // On the MasPar this simplifies the kernels (no separate domain pass);
 // the cost is initializing matrices over the full pre-unary domains.
-// The sequential formulation builds arcs after unary propagation over
-// the smaller surviving domains.  Both must reach identical fixpoints;
-// this bench quantifies the work difference.
+// The host engines build their (compact) arcs after unary propagation,
+// over the smaller surviving domains.  Both must reach identical
+// fixpoints; this bench quantifies the work difference.  Each side's
+// time covers network construction plus the whole parse, so the
+// prebuilt side pays for its arc fill inside its timer too.
 #include <iostream>
+#include <optional>
 
 #include "bench_common.h"
 #include "cdg/parser.h"
@@ -35,25 +38,30 @@ int main() {
   for (int n = 4; n <= 16; n += 4) {
     cdg::Sentence s = gen.generate_sentence(n);
 
-    cdg::Network a = pre.make_network(s);
-    const double pre_bits = static_cast<double>(a.arc_ones());
-    const double t_pre = bench::time_host([&] {
-      pre.parse(a);
-    });
-
-    cdg::Network b = lazy.make_network(s);
+    // Arc bits each side starts its binary phase with (untimed).
+    const double pre_bits =
+        static_cast<double>(pre.make_network(s).arc_ones());
     double lazy_bits = 0;
+    {
+      cdg::Network probe = lazy.make_network(s);
+      lazy.run_unary(probe);
+      probe.build_arcs();
+      lazy_bits = static_cast<double>(probe.arc_ones());
+    }
+
+    std::optional<cdg::Network> a, b;
+    const double t_pre = bench::time_host([&] {
+      a.emplace(pre.make_network(s));
+      pre.parse(*a);
+    });
     const double t_lazy = bench::time_host([&] {
-      lazy.run_unary(b);
-      b.build_arcs();
-      lazy_bits = static_cast<double>(b.arc_ones());
-      lazy.run_binary(b);
-      b.filter(lazy_opt.filter_sweeps);
+      b.emplace(lazy.make_network(s));
+      lazy.parse(*b);
     });
 
     bool equal = true;
-    for (int r = 0; r < a.num_roles(); ++r)
-      if (!(a.domain(r) == b.domain(r))) equal = false;
+    for (int r = 0; r < a->num_roles(); ++r)
+      if (!(a->domain(r) == b->domain(r))) equal = false;
 
     t.add_row({std::to_string(n), util::format_value(pre_bits),
                util::format_value(lazy_bits),
@@ -65,10 +73,11 @@ int main() {
   t.print(std::cout);
   std::cout
       << "\nReading: prebuilding initializes orders of magnitude more\n"
-         "matrix bits (the full pre-unary domains) — work the MasPar\n"
-         "absorbs for free in one parallel init broadcast, but which a\n"
-         "sequential implementation would rather skip by building arcs\n"
-         "after unary pruning.  Decision 1 trades redundant parallel\n"
-         "init for simpler kernels; the fixpoint is unchanged.\n";
+         "matrix bits (the full pre-unary domains) and then sweeps and\n"
+         "zeroes them through unary propagation — work the MasPar\n"
+         "absorbs for free in one parallel init broadcast, but which the\n"
+         "host engines skip by building arcs after unary pruning.\n"
+         "Decision 1 trades redundant parallel init for simpler kernels;\n"
+         "the fixpoint is unchanged.\n";
   return 0;
 }

@@ -14,12 +14,11 @@
 //
 // Also reports the fraction of surviving pairs the masks decide
 // without a VM dispatch (the number that makes the ≥2x fixpoint
-// speedup mechanical), and a tile-size x ISA-tier grid over the masked
-// path: every (SweepTiling rows, forced dispatch tier) combination must
-// reach the plain fixpoint bit for bit (ASSERTED — the dispatch tier
-// and the tile size are pure throughput knobs), and the grid prices
-// each axis.  Writes BENCH_ablation_masks.json; the CI perf-smoke job
-// uploads it as an artifact.
+// speedup mechanical).  The single-sentence sweeps run the scalar mask
+// expression on compact arc rows, so the SIMD dispatch tier does not
+// apply here; bench_throughput prices the tiers on the SoA batch.
+// Writes BENCH_ablation_masks.json; the CI perf-smoke job uploads it as
+// an artifact.
 //
 // Usage: bench_ablation_masks [--json PATH]
 #include <fstream>
@@ -27,9 +26,7 @@
 #include <string>
 
 #include "bench_common.h"
-#include "cdg/kernels.h"
 #include "cdg/parser.h"
-#include "cdg/simd.h"
 #include "parsec/backend.h"
 #include "util/table.h"
 
@@ -111,38 +108,6 @@ int main(int argc, char** argv) {
   const ModeResult masked = run_mode("masked", true, true);
   const ModeResult mask_only = run_mode("mask-only", true, false);
 
-  // Tile-size x ISA ablation over the masked path.  Tiers above the
-  // host's CPUID ceiling are skipped (forcing them would silently clamp
-  // and re-measure the same kernel).
-  struct SimdCell {
-    cdg::simd::IsaTier tier;
-    std::size_t rows;
-    ModeResult result;
-  };
-  std::vector<SimdCell> grid;
-  {
-    const cdg::kernels::SweepTiling saved = cdg::kernels::sweep_tiling();
-    for (cdg::simd::IsaTier tier :
-         {cdg::simd::IsaTier::Scalar, cdg::simd::IsaTier::Avx2,
-          cdg::simd::IsaTier::Avx512}) {
-      if (static_cast<int>(tier) >
-          static_cast<int>(cdg::simd::detected_tier()))
-        continue;
-      cdg::simd::ScopedTier forced(tier);
-      for (std::size_t rows : {std::size_t{1}, std::size_t{8},
-                               cdg::kernels::kMaxSweepTileRows}) {
-        cdg::kernels::set_sweep_tiling({rows});
-        std::string name = std::string(cdg::simd::tier_name(tier)) +
-                           " rows=" + std::to_string(rows);
-        grid.push_back({tier, rows, run_mode(name, true, true)});
-      }
-    }
-    cdg::kernels::set_sweep_tiling(saved);
-  }
-  bool grid_identical = true;
-  for (const SimdCell& c : grid)
-    grid_identical = grid_identical && c.result.hash == plain.hash;
-
   const double decided =
       static_cast<double>(masked.counters.masked_binary_pairs) /
       static_cast<double>(masked.counters.masked_binary_pairs +
@@ -164,23 +129,6 @@ int main(int argc, char** argv) {
                m->hash == plain.hash ? "yes" : "no"});
   }
   t.print(std::cout);
-
-  std::cout << "\ntile-size x ISA grid (masked path, "
-            << cdg::simd::tier_name(cdg::simd::detected_tier())
-            << " detected):\n";
-  util::Table g({"tier", "rows", "ms/sentence", "speedup vs scalar r1",
-                 "tile sweeps", "lane words", "same fixpoint"});
-  const double scalar_r1_ms =
-      grid.empty() ? 0.0 : grid.front().result.ms_per_sentence;
-  for (const SimdCell& c : grid) {
-    g.add_row({cdg::simd::tier_name(c.tier), std::to_string(c.rows),
-               bench::fmt(c.result.ms_per_sentence, "%.4f"),
-               bench::fmt(scalar_r1_ms / c.result.ms_per_sentence, "%.2f"),
-               std::to_string(c.result.counters.tile_sweeps),
-               std::to_string(c.result.counters.simd_lane_words),
-               c.result.hash == plain.hash ? "yes" : "NO"});
-  }
-  g.print(std::cout);
 
   std::cout << "\npairs decided without a VM dispatch: "
             << bench::fmt(decided * 100.0, "%.2f") << "%\n"
@@ -209,38 +157,15 @@ int main(int argc, char** argv) {
          << (m.hash == plain.hash ? "true" : "false") << "}"
          << (i + 1 < 3 ? "," : "") << "\n";
   }
-  json << "  ],\n  \"simd_ablation\": {\"detected_tier\": \""
-       << cdg::simd::tier_name(cdg::simd::detected_tier())
-       << "\", \"cells\": [\n";
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const SimdCell& c = grid[i];
-    json << "    {\"tier\": \"" << cdg::simd::tier_name(c.tier)
-         << "\", \"tile_rows\": " << c.rows << ", \"ms_per_sentence\": "
-         << bench::fmt(c.result.ms_per_sentence, "%.4f")
-         << ", \"speedup_vs_scalar_rows1\": "
-         << bench::fmt(scalar_r1_ms / c.result.ms_per_sentence, "%.3f")
-         << ", \"tile_sweeps\": " << c.result.counters.tile_sweeps
-         << ", \"simd_lane_words\": " << c.result.counters.simd_lane_words
-         << ", \"fixpoint_matches_plain\": "
-         << (c.result.hash == plain.hash ? "true" : "false") << "}"
-         << (i + 1 < grid.size() ? "," : "") << "\n";
-  }
-  json << "  ]},\n  \"decided_without_vm\": " << bench::fmt(decided, "%.4f")
+  json << "  ],\n  \"decided_without_vm\": " << bench::fmt(decided, "%.4f")
        << ",\n  \"masked_bit_identical\": "
-       << (masked.hash == plain.hash ? "true" : "false")
-       << ",\n  \"simd_grid_bit_identical\": "
-       << (grid_identical ? "true" : "false") << "\n}\n";
+       << (masked.hash == plain.hash ? "true" : "false") << "\n}\n";
   std::cout << "report: " << json_path << "\n";
 
   if (masked.hash != plain.hash) {
     std::cout << "verdict: MASKED PATH DIVERGED FROM PLAIN\n";
     return 1;
   }
-  if (!grid_identical) {
-    std::cout << "verdict: SIMD TILE/TIER GRID DIVERGED FROM PLAIN\n";
-    return 1;
-  }
-  std::cout << "verdict: masked path bit-identical to plain on every "
-               "tile size and dispatch tier\n";
+  std::cout << "verdict: masked path bit-identical to plain\n";
   return 0;
 }

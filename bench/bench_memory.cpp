@@ -61,12 +61,11 @@ int main(int argc, char** argv) {
     int n;
     int vpes;
     std::size_t pe_bytes;
-    std::size_t arena_bytes, domains_bytes, arcs_bytes, counts_bytes;
-    std::size_t masks_bytes;
+    std::size_t arena_bytes, domains_bytes, arcs_bytes, masks_bytes;
   };
   std::vector<Row> rows;
   util::Table t({"n", "virtual PEs", "PE-local bytes", "fits 16KB",
-                 "arena bytes", "arcs", "counts", "masks", "arena / n^4"});
+                 "arena bytes", "arcs", "masks", "arena / n^4"});
   for (int n : {4, 8, 12, 16, 20, 24}) {
     cdg::Sentence s = gen.generate_sentence(n);
     maspar::Layout layout(bundle.grammar, s);
@@ -81,21 +80,19 @@ int main(int argc, char** argv) {
         (layout.vpes() + maspar::kMp1MaxPes - 1) / maspar::kMp1MaxPes;
     const std::size_t phys_bytes = pe_bytes * static_cast<std::size_t>(vf);
 
-    // Host-side CN: ONE arena allocation carries domains, arc matrices,
-    // AC-4 counters and elimination staging (§2.2.1's fixed-offset
-    // PE-array layout, hosted).
+    // Host-side CN: ONE arena allocation carries domains, compact arc
+    // matrices, truth masks and elimination staging (§2.2.1's
+    // fixed-offset PE-array layout, hosted).
     cdg::Network net(bundle.grammar, s);
     const cdg::NetworkArena& a = net.arena();
     const double n4 = static_cast<double>(n) * n * n * n;
     rows.push_back({n, layout.vpes(), phys_bytes, a.bytes(),
-                    a.domains_bytes(), a.arcs_bytes(), a.counts_bytes(),
-                    a.masks_bytes()});
+                    a.domains_bytes(), a.arcs_bytes(), a.masks_bytes()});
     t.add_row({std::to_string(n), std::to_string(layout.vpes()),
                std::to_string(phys_bytes),
                phys_bytes <= 16 * 1024 ? "yes" : "NO",
                util::format_value(static_cast<double>(a.bytes())),
                util::format_value(static_cast<double>(a.arcs_bytes())),
-               util::format_value(static_cast<double>(a.counts_bytes())),
                util::format_value(static_cast<double>(a.masks_bytes())),
                bench::fmt(static_cast<double>(a.bytes()) / n4, "%.1f")});
   }
@@ -103,9 +100,11 @@ int main(int argc, char** argv) {
   std::cout
       << "\nReading: even heavily virtualized, PE-local state stays\n"
          "orders of magnitude under the 16 KB budget.  The arena column\n"
-         "is the CN's single backing allocation; arcs dominate and grow\n"
-         "as O(n^4) (arena/n^4 approaching a constant), with the AC-4\n"
-         "counter region second.\n\n";
+         "is the CN's single backing allocation.  Its arcs are compact\n"
+         "post-unary blocks, sized from the grammar's labels per role\n"
+         "rather than all |L| labels, at 64 values per word: still\n"
+         "O(n^4), with a constant small enough that the dense truth\n"
+         "masks are of the same order.\n\n";
 
   // ---- table 2: allocation counts, cold vs pooled steady state -------
   std::cout
@@ -184,7 +183,6 @@ int main(int argc, char** argv) {
          << ", \"arena_bytes\": " << r.arena_bytes
          << ", \"domains_bytes\": " << r.domains_bytes
          << ", \"arcs_bytes\": " << r.arcs_bytes
-         << ", \"counts_bytes\": " << r.counts_bytes
          << ", \"masks_bytes\": " << r.masks_bytes << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }

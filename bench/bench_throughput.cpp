@@ -47,6 +47,7 @@
 #include <optional>
 
 #include "bench_common.h"
+#include "cdg/ac4.h"
 #include "cdg/extract.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -481,9 +482,9 @@ int main(int argc, char** argv) {
   // envelope -> engine-phase chains across worker threads — the
   // request graph parsec_analyze reconstructs), then one fully traced
   // direct parse: factoring (EngineSet construction), propagation +
-  // mask builds + AC-4 fixpoint (run_backend with the AC-4 serial
-  // path), and parse extraction — the span taxonomy of
-  // docs/OBSERVABILITY.md in a single timeline.
+  // mask builds (run_backend), an AC-4 fixpoint check, and parse
+  // extraction — the span taxonomy of docs/OBSERVABILITY.md in a single
+  // timeline.
   if (!cfg.trace_path.empty()) {
     obs::TraceSession session;
     {
@@ -506,12 +507,11 @@ int main(int argc, char** argv) {
       // The service joins its workers here, quiescing every recording
       // thread before the session is written.
     }
-    engine::EngineSetOptions eopt;
-    eopt.serial_ac4 = true;
-    engine::EngineSet traced(bundle.grammar, eopt);
+    engine::EngineSet traced(bundle.grammar);
     engine::run_backend(traced, cfg.backend, workload.front());
     cdg::Network net = seq.make_network(workload.front());
     seq.parse(net);
+    cdg::filter_ac4(net);
     cdg::extract_parses(net, /*limit=*/8);
     std::ofstream t(cfg.trace_path);
     session.write_chrome_trace(t);

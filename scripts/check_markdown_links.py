@@ -25,8 +25,12 @@ import sys
 from pathlib import Path
 
 INLINE_LINK = re.compile(r"!?\[[^\]]*\]\(([^()\s]+(?:\([^()]*\))?)\)")
-# Doc-file mentions outside of []( ) links: `docs/TUTORIAL.md`, DESIGN.md §1 ...
-DOC_MENTION = re.compile(r"\b((?:docs/)?[A-Z][A-Za-z0-9_]*\.md)\b")
+# Doc-file mentions outside of []( ) links: `docs/TUTORIAL.md`, DESIGN.md §1,
+# `.claude/skills/verify/SKILL.md` ...  The whole path is captured, from the
+# start of the path token (not after a word character, '.', '/' or '-'), so
+# a directory prefix is resolved along with the file name.
+DOC_MENTION = re.compile(
+    r"(?<![\w./-])((?:[\w.-]+/)*[A-Z][A-Za-z0-9_]*\.md)\b")
 SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*:")
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 HTML_ANCHOR = re.compile(r"<a\s+(?:id|name)=[\"']([^\"']+)[\"']")

@@ -9,12 +9,17 @@
 // elimination.  Total work is O(n^4) *overall* instead of per sweep,
 // at the cost of the counter memory.  The fixpoint is identical
 // (support removal is confluent); tests verify bit-equality and
-// bench_ablation_ac4 measures the trade.
+// bench_ablation_ac4 measures the trade.  No engine filters this way:
+// it is kept as that ablation.
 //
-// All working memory — the R·D·R counters, the queued flags, and the
-// FIFO elimination queue — lives in the network's arena (cdg/arena.h),
-// so repeated filtering over pooled networks allocates nothing.
+// The counters, queued flags and FIFO queue live in an Ac4Scratch, not
+// in the network's arena; pass one in to reuse its capacity across
+// calls.
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "cdg/network.h"
 
@@ -26,10 +31,23 @@ struct Ac4Stats {
   std::size_t initial_count_work = 0;  // row words scanned to build counters
 };
 
-/// Runs support-counting filtering to the fixpoint.  Equivalent to
-/// net.filter(-1).  Counters and queue storage come from the network's
-/// arena; on return the arena's support counters are valid for the
-/// fixpoint state (Network::check_invariants verifies them).
+/// AC-4 working memory.  After filter_ac4 returns, `counts` holds, for
+/// every value on a compact axis and every other role, the value's
+/// supporting 1-bits on the arc between them.
+struct Ac4Scratch {
+  std::vector<std::int32_t> counts;  // [(axis_base[role] + cid) * R + other]
+  std::vector<std::size_t> axis_base;  // [R + 1] prefix of axis lengths
+  std::vector<std::uint8_t> queued;    // one flag per compact value
+  std::vector<std::int32_t> queue;     // (role, cid) pairs, FIFO
+
+  /// True when every alive value's counters equal its live support on
+  /// each incident arc of `net` (the state filter_ac4 leaves).
+  bool counts_match(const Network& net) const;
+};
+
+/// Runs support-counting filtering to the fixpoint on the network's
+/// arcs (building them first if needed).  Equivalent to net.filter(-1).
+Ac4Stats filter_ac4(Network& net, Ac4Scratch& scratch);
 Ac4Stats filter_ac4(Network& net);
 
 }  // namespace parsec::cdg

@@ -12,6 +12,8 @@ namespace parsec::cdg {
 namespace {
 
 constexpr std::size_t kStageWords = 2048;
+/// Rows staged per vector phase of the batched sweep.
+constexpr std::size_t kMaxSweepTileRows = 64;
 
 }  // namespace
 
@@ -23,8 +25,8 @@ BatchParser::BatchParser(const Grammar& g, NetworkOptions opt)
   // The pooled lane networks only supply domains, unary propagation
   // and truth masks; gather() synthesizes the interleaved arc rows
   // from the post-unary domains, so the per-network arc matrices are
-  // never read.  Forcing the lazy-arc path skips fill_arcs at both
-  // construction and every reinit — a large slice of per-lane prep.
+  // never read.  Forcing prebuild_arcs off keeps construction and every
+  // reinit from building them.
   opt_.prebuild_arcs = false;
 }
 
@@ -68,7 +70,7 @@ void BatchParser::gather(std::span<Network> nets) {
         }
     }
   }
-  // Arc synthesis — fill_arcs without per-lane matrices: the initial
+  // Arc synthesis without per-lane matrices: the initial
   // arc row i of (ra, rb) is the partner's domain masked by lane i's
   // aliveness, so the interleaved rows come straight from the already
   // interleaved domains.  Rows dead in every lane are skipped AND never
@@ -105,18 +107,16 @@ void BatchParser::sweep_constraint(std::span<Network> nets, std::size_t slot,
   const simd::Ops& ops = simd::ops();
   const RvIndexer& ix = nets[0].indexer();
 
-  // Same two-phase tiling as kernels::sweep_binary_masked, row width
-  // sW_ (kLanes words per 64-value word group).
+  // Two-phase row tiles of row width sW_ (kLanes words per 64-value
+  // word group): one dispatched vector pass stages every undecided
+  // word of the tile, then one residual VM pass drains them.
   Word stage[kStageWords];
-  Word consts[kernels::kMaxSweepTileRows][8][kLanes];
-  std::size_t rows_idx[kernels::kMaxSweepTileRows];
-  bool rows_und[kernels::kMaxSweepTileRows];
-  const std::size_t row_cap =
-      std::max<std::size_t>(1, std::min(kernels::kMaxSweepTileRows,
-                                        sW_ ? kStageWords / sW_ : 1));
+  Word consts[kMaxSweepTileRows][8][kLanes];
+  std::size_t rows_idx[kMaxSweepTileRows];
+  bool rows_und[kMaxSweepTileRows];
   const std::size_t tile_cap =
-      std::max<std::size_t>(1,
-                            std::min(kernels::sweep_tiling().rows, row_cap));
+      std::max<std::size_t>(1, std::min(kMaxSweepTileRows,
+                                        sW_ ? kStageWords / sW_ : 1));
 
   EvalContext ctx;
   for (std::size_t t = 0; t < num_arcs_; ++t) {

@@ -6,94 +6,80 @@
 
 namespace parsec::cdg::kernels {
 
-void zero_row_col(NetworkArena& a, int role, int rv) {
-  using Word = NetworkArena::Word;
+namespace {
+
+using Word = NetworkArena::Word;
+constexpr std::size_t kWordBits = NetworkArena::kWordBits;
+
+/// (role id, word) binding coordinates of dense role index `role`.
+RoleId role_id(int role, int roles_per_word) {
+  return static_cast<RoleId>(role % roles_per_word);
+}
+WordPos word_of(int role, int roles_per_word) {
+  return static_cast<WordPos>(role / roles_per_word + 1);
+}
+
+/// Both variable assignments of the pair (x, y) under the full program;
+/// charges 2 to `vm` up front.
+bool pair_holds(const CompiledConstraint& c, EvalContext& ctx,
+                const Binding& x, const Binding& y, std::size_t& vm) {
+  vm += 2;
+  ctx.x = x;
+  ctx.y = y;
+  if (!eval_compiled(c, ctx)) return false;
+  ctx.x = y;
+  ctx.y = x;
+  return eval_compiled(c, ctx);
+}
+
+}  // namespace
+
+void zero_rows_cols(NetworkArena& a, int role, std::span<const int> cids) {
   const int R = a.roles();
-  const std::size_t wi =
-      static_cast<std::size_t>(rv) / NetworkArena::kWordBits;
-  const Word bit = Word{1}
-                   << (static_cast<std::size_t>(rv) % NetworkArena::kWordBits);
+  util::BitSpan victims = a.compact_scratch(role);
+  victims.reset_all();
+  for (int c : cids) victims.set(static_cast<std::size_t>(c));
+  const Word* vm = victims.words();
   for (int other = 0; other < R; ++other) {
     if (other == role) continue;
+    const std::size_t t =
+        role < other ? a.arc_index(role, other) : a.arc_index(other, role);
+    if (a.arc_live(t) == 0) continue;
+    util::BitMatrixView m = a.arc(t);
+    const std::size_t W = m.row_word_count();
+    std::size_t cleared = 0;
     if (role < other) {
-      a.arc(role, other).zero_row(static_cast<std::size_t>(rv));
+      for (int c : cids) {
+        cleared += m.row_count(static_cast<std::size_t>(c));
+        m.zero_row(static_cast<std::size_t>(c));
+      }
     } else {
-      // Column side: arc bits only exist at alive×alive positions, so a
-      // bit in column rv can only live in a still-alive row of `other`
-      // (a dead row was zeroed by its own elimination).  Walking the
-      // partner's alive values replaces D strided per-row clears with
-      // |alive| of them.
-      util::BitMatrixView m = a.arc(other, role);
-      const util::ConstBitSpan dom =
-          static_cast<const NetworkArena&>(a).domain(other);
-      dom.for_each([&](std::size_t r) { m.row_words(r)[wi] &= ~bit; });
+      // One ANDN pass per partner row clears every victim column at
+      // once (dead partner rows are already zero; clearing them again
+      // is harmless and cheaper than testing).
+      for (std::size_t r = 0; r < m.rows(); ++r) {
+        Word* row = m.row_words(r);
+        for (std::size_t w = 0; w < W; ++w) {
+          cleared += static_cast<std::size_t>(std::popcount(row[w] & vm[w]));
+          row[w] &= ~vm[w];
+        }
+      }
     }
+    a.arc_live(t) -= static_cast<std::uint32_t>(cleared);
   }
 }
 
-void zero_rows_cols(NetworkArena& a, int role, std::span<const int> rvs,
-                    util::BitSpan scratch) {
-  using Word = NetworkArena::Word;
-  const int R = a.roles();
-  scratch.reset_all();
-  for (int rv : rvs) scratch.set(static_cast<std::size_t>(rv));
-  const Word* vm = scratch.words();
-  const std::size_t W = scratch.word_count();
-  for (int other = 0; other < R; ++other) {
-    if (other == role) continue;
-    if (role < other) {
-      util::BitMatrixView m = a.arc(role, other);
-      for (int rv : rvs) m.zero_row(static_cast<std::size_t>(rv));
-    } else {
-      // One ANDN pass per alive partner row clears every victim column
-      // at once; per-victim strided clears would cost |rvs| passes.
-      util::BitMatrixView m = a.arc(other, role);
-      const util::ConstBitSpan dom =
-          static_cast<const NetworkArena&>(a).domain(other);
-      const auto andn = simd::ops().andn;
-      dom.for_each([&](std::size_t r) { andn(m.row_words(r), vm, W); });
-    }
-  }
-}
-
-bool supported(const NetworkArena& a, int role, int rv) {
+bool supported(const NetworkArena& a, int role, int cid) {
   const int R = a.roles();
   for (int other = 0; other < R; ++other) {
     if (other == role) continue;
     const bool ok =
         role < other
-            ? a.arc(role, other).row_any(static_cast<std::size_t>(rv))
-            : a.arc(other, role).col_any(static_cast<std::size_t>(rv));
+            ? a.arc(role, other).row_any(static_cast<std::size_t>(cid))
+            : a.arc(other, role).col_any(static_cast<std::size_t>(cid));
     if (!ok) return false;
   }
   return true;
-}
-
-std::size_t count_supports(NetworkArena& a) {
-  auto counts = a.support_counts();
-  std::fill(counts.begin(), counts.end(), 0);
-  const int R = a.roles();
-  const std::size_t D = static_cast<std::size_t>(a.domain_size());
-  std::size_t words_scanned = 0;
-  for (int ra = 0; ra < R; ++ra) {
-    for (int rb = ra + 1; rb < R; ++rb) {
-      const auto m = static_cast<const NetworkArena&>(a).arc(ra, rb);
-      a.domain(ra).for_each([&](std::size_t i) {
-        const auto row = m.row_span(i);
-        words_scanned += row.word_count();
-        // Row side: one popcount per alive value.  Arc bits exist only
-        // at alive×alive positions, so the whole-row count equals the
-        // count over the partner's alive values.
-        counts[(static_cast<std::size_t>(ra) * D + i) * R + rb] =
-            static_cast<std::int32_t>(row.count());
-        // Column side: scatter the row's set bits onto the partners.
-        row.for_each([&](std::size_t j) {
-          ++counts[(static_cast<std::size_t>(rb) * D + j) * R + ra];
-        });
-      });
-    }
-  }
-  return words_scanned;
 }
 
 void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
@@ -122,35 +108,39 @@ void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
   });
 }
 
-int sweep_binary(const CompiledConstraint& c, const Sentence& sent,
-                 util::BitMatrixView m, std::span<const int> alive_a,
-                 std::span<const Binding> bind_a, std::span<const int> alive_b,
-                 std::span<const Binding> bind_b, std::size_t* evals) {
+int sweep_binary(NetworkArena& a, std::size_t arc, const CompiledConstraint& c,
+                 const Sentence& sent, const RvIndexer& ix, int roles_per_word,
+                 std::size_t* evals) {
+  const auto [ra, rb] = a.arc_pair(arc);
+  util::BitMatrixView m = a.arc(arc);
+  const std::span<const std::int32_t> axis_a = a.axis(ra);
+  const std::span<const std::int32_t> axis_b = a.axis(rb);
+  const RoleId rid_a = role_id(ra, roles_per_word);
+  const RoleId rid_b = role_id(rb, roles_per_word);
+  const WordPos wa = word_of(ra, roles_per_word);
+  const WordPos wb = word_of(rb, roles_per_word);
+  const std::size_t W = m.row_word_count();
   EvalContext ctx;
   ctx.sentence = &sent;
+  std::size_t vm = 0;
   int zeroed = 0;
-  for (std::size_t ii = 0; ii < alive_a.size(); ++ii) {
-    const std::size_t i = static_cast<std::size_t>(alive_a[ii]);
-    for (std::size_t jj = 0; jj < alive_b.size(); ++jj) {
-      const std::size_t j = static_cast<std::size_t>(alive_b[jj]);
-      if (!m.test(i, j)) continue;
-      // Both variable assignments (the constraint's x/y are symmetric
-      // slots, not positional); both are charged up front.
-      if (evals) *evals += 2;
-      ctx.x = bind_a[ii];
-      ctx.y = bind_b[jj];
-      bool ok = eval_compiled(c, ctx);
-      if (ok) {
-        ctx.x = bind_b[jj];
-        ctx.y = bind_a[ii];
-        ok = eval_compiled(c, ctx);
-      }
-      if (!ok) {
-        m.reset(i, j);
-        ++zeroed;
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    Word* row = m.row_words(i);
+    const Binding bind_a{ix.decode(axis_a[i]), rid_a, wa};
+    for (std::size_t w = 0; w < W; ++w) {
+      for (Word u = row[w]; u; u &= u - 1) {
+        const std::size_t bit = static_cast<std::size_t>(std::countr_zero(u));
+        const Binding bind_b{ix.decode(axis_b[w * kWordBits + bit]), rid_b,
+                             wb};
+        if (!pair_holds(c, ctx, bind_a, bind_b, vm)) {
+          row[w] &= ~(Word{1} << bit);
+          ++zeroed;
+        }
       }
     }
   }
+  a.arc_live(arc) -= static_cast<std::uint32_t>(zeroed);
+  if (evals) *evals += vm;
   return zeroed;
 }
 
@@ -158,8 +148,7 @@ namespace {
 
 /// Clears bit range [lo, hi) of `s`, word-wise.
 void clear_run(util::BitSpan s, std::size_t lo, std::size_t hi) {
-  using Word = NetworkArena::Word;
-  constexpr std::size_t B = NetworkArena::kWordBits;
+  constexpr std::size_t B = kWordBits;
   Word* w = s.words();
   for (std::size_t wi = lo / B; wi * B < hi; ++wi) {
     const std::size_t base = wi * B;
@@ -261,187 +250,123 @@ std::size_t MaskCache::ensure(NetworkArena& a, const FactoredConstraint& c,
   return evals;
 }
 
-namespace {
-
-SweepTiling g_tiling{};
-
-/// Fills the 8 broadcast constant words (each all-ones or all-zero) of
-/// one a-side row from its hoisted-mask bits, in simd::SweepConsts
-/// member order.  Folding the row booleans into constants here is what
-/// makes the word kernel a fixed 8-term expression — the same
-/// instruction stream for every row, the ACU-broadcast shape.
-inline void sweep_row_consts(const FactoredConstraint& c,
-                             const FactoredMasks& ma, std::size_t i,
-                             NetworkArena::Word* k) {
-  using Word = NetworkArena::Word;
-  const bool ax = ma.ante_x.test(i), ay = ma.ante_y.test(i);
-  const bool cx = ma.cons_x.test(i), cy = ma.cons_y.test(i);
-  const bool f1_on = ax && !c.ante_residual;
-  const bool f2_on = ay && !c.ante_residual;
-  const bool t1c = cx && !c.cons_residual;
-  const bool t2c = cy && !c.cons_residual;
-  k[0] = ax ? Word{0} : ~Word{0};    // nax
-  k[1] = t1c ? ~Word{0} : Word{0};   // t1c
-  k[2] = f1_on ? ~Word{0} : Word{0}; // f1
-  k[3] = cx ? Word{0} : ~Word{0};    // ncx
-  k[4] = ay ? Word{0} : ~Word{0};    // nay
-  k[5] = t2c ? ~Word{0} : Word{0};   // t2c
-  k[6] = f2_on ? ~Word{0} : Word{0}; // f2
-  k[7] = cy ? Word{0} : ~Word{0};    // ncy
+void MaskCache::gather(NetworkArena& a, std::size_t k) const {
+  assert(built(a, k));
+  const int R = a.roles();
+  for (int role = 0; role < R; ++role) {
+    const std::span<const std::int32_t> axis = a.axis(role);
+    for (int p = 0; p < NetworkArena::kMaskParts; ++p) {
+      const util::ConstBitSpan dense =
+          static_cast<const NetworkArena&>(a).mask(
+              k * kSlotsPerConstraint + static_cast<std::size_t>(p), role);
+      util::BitSpan out = a.compact_mask(p, role);
+      out.reset_all();
+      for (std::size_t c = 0; c < axis.size(); ++c)
+        if (dense.test(static_cast<std::size_t>(axis[c]))) out.set(c);
+    }
+    const NetworkArena& ca = a;
+    a.mask_any(role) =
+        (ca.compact_mask(0, role).any() ? NetworkArena::kAnteX : 0) |
+        (ca.compact_mask(1, role).any() ? NetworkArena::kAnteY : 0);
+  }
 }
 
-}  // namespace
-
-void set_sweep_tiling(const SweepTiling& t) {
-  g_tiling.rows = t.rows < 1 ? 1
-                  : t.rows > kMaxSweepTileRows ? kMaxSweepTileRows
-                                               : t.rows;
-}
-
-SweepTiling sweep_tiling() { return g_tiling; }
-
-int sweep_binary_masked(const FactoredConstraint& c, const Sentence& sent,
-                        util::BitMatrixView m, util::ConstBitSpan dom_a,
-                        const FactoredMasks& ma, RoleId rid_a, WordPos wa,
-                        const FactoredMasks& mb, RoleId rid_b, WordPos wb,
-                        const RvIndexer& ix, const MaskedCounters& counters,
-                        bool apply_residual) {
-  using Word = NetworkArena::Word;
+int sweep_binary_masked(NetworkArena& a, std::size_t arc,
+                        const FactoredConstraint& c, const Sentence& sent,
+                        const RvIndexer& ix, int roles_per_word,
+                        const MaskedCounters& counters, bool apply_residual) {
+  const std::uint32_t live = a.arc_live(arc);
+  if (live == 0) return 0;  // no pair left (or an empty side)
+  const auto [ra, rb] = a.arc_pair(arc);
+  // Direction 1 can only be falsified or left undecided for a pair
+  // whose row value passes ante_x and whose partner passes ante_y;
+  // direction 2 mirrors.  When neither combination occurs on this arc,
+  // the masks alone decide every pair "keep" — without reading it.
+  const std::uint8_t fa = a.mask_any(ra), fb = a.mask_any(rb);
+  const bool dir1 = (fa & NetworkArena::kAnteX) && (fb & NetworkArena::kAnteY);
+  const bool dir2 = (fa & NetworkArena::kAnteY) && (fb & NetworkArena::kAnteX);
+  if (!dir1 && !dir2) {
+    if (counters.masked) *counters.masked += live;
+    return 0;
+  }
+  util::BitMatrixView m = a.arc(arc);
   const std::size_t W = m.row_word_count();
-  // Partner-side mask words (bit j = does b's value j satisfy the part).
-  const Word* AX = mb.ante_x.words();
-  const Word* AY = mb.ante_y.words();
-  const Word* CX = mb.cons_x.words();
-  const Word* CY = mb.cons_y.words();
-  const simd::Ops& ops = simd::ops();
+  // Partner-side mask words (bit j = does b's value j satisfy the part)
+  // and the row side's mask bits, both on the compact axes.
+  const NetworkArena& ca = a;
+  const Word* AX = ca.compact_mask(0, rb).words();
+  const Word* AY = ca.compact_mask(1, rb).words();
+  const Word* CX = ca.compact_mask(2, rb).words();
+  const Word* CY = ca.compact_mask(3, rb).words();
+  const util::ConstBitSpan ma_ax = ca.compact_mask(0, ra);
+  const util::ConstBitSpan ma_ay = ca.compact_mask(1, ra);
+  const util::ConstBitSpan ma_cx = ca.compact_mask(2, ra);
+  const util::ConstBitSpan ma_cy = ca.compact_mask(3, ra);
+  const std::span<const std::int32_t> axis_a = a.axis(ra);
+  const std::span<const std::int32_t> axis_b = a.axis(rb);
+  const RoleId rid_a = role_id(ra, roles_per_word);
+  const RoleId rid_b = role_id(rb, roles_per_word);
+  const WordPos wa = word_of(ra, roles_per_word);
+  const WordPos wb = word_of(rb, roles_per_word);
   EvalContext ctx;
   ctx.sentence = &sent;
-  std::size_t vm = 0, masked = 0, tiles = 0, lane_words = 0;
+  std::size_t vm = 0, masked = 0;
   int zeroed = 0;
+  const auto ones = [](bool b) { return b ? ~Word{0} : Word{0}; };
 
-  // Tile staging, all on the stack: the vector phase writes each row's
-  // undecided word image here, the residual phase drains it.  Wide rows
-  // shrink the block height so a tile never overflows the budget (the
-  // degenerate W > kStageWords case would need D > 128k bits; the
-  // invariant checker's shapes are far below that, but clamp anyway).
-  constexpr std::size_t kStageWords = 2048;
-  static_assert(kStageWords >= kMaxSweepTileRows);
-  Word stage[kStageWords];
-  Word consts[kMaxSweepTileRows][8];
-  std::size_t rows_idx[kMaxSweepTileRows];
-  bool rows_und[kMaxSweepTileRows];
-  const std::size_t Wc = W > kStageWords ? kStageWords : W;
-  const std::size_t row_cap =
-      Wc ? std::min(kMaxSweepTileRows, kStageWords / Wc) : std::size_t{1};
-  const std::size_t tile_cap =
-      std::max<std::size_t>(1, std::min(g_tiling.rows, row_cap));
-
-  const std::size_t Dn = dom_a.size();
-  std::size_t i = dom_a.find_first();
-  while (i < Dn) {
-    // Gather the tile: up to tile_cap alive rows and their constants.
-    std::size_t nrows = 0;
-    while (i < Dn && nrows < tile_cap) {
-      rows_idx[nrows] = i;
-      sweep_row_consts(c, ma, i, consts[nrows]);
-      ++nrows;
-      i = dom_a.find_next_from(i + 1);
-    }
-    // Vector phase: one uninterrupted dispatched pass per row, kills
-    // applied in place, undecided words staged.
-    bool tile_und = false;
-    for (std::size_t r = 0; r < nrows; ++r) {
-      const Word* k = consts[r];
-      const simd::SweepConsts kc{k + 0, k + 1, k + 2, k + 3,
-                                 k + 4, k + 5, k + 6, k + 7};
-      simd::SweepStats st;
-      ops.sweep_row(m.row_words(rows_idx[r]), AX, AY, CX, CY, kc, 1, Wc,
-                    stage + r * Wc, &st);
-      // Clamped-width leftover (W > kStageWords only): finish the row
-      // scalar-chunked with immediate residual semantics via a second
-      // dispatched pass per chunk.
-      for (std::size_t w0 = Wc; w0 < W; w0 += Wc) {
-        const std::size_t nw = std::min(Wc, W - w0);
-        simd::SweepStats st2;
-        ops.sweep_row(m.row_words(rows_idx[r]) + w0, AX + w0, AY + w0,
-                      CX + w0, CY + w0, kc, 1, nw, stage + r * Wc, &st2);
-        masked += st2.masked[0];
-        zeroed += static_cast<int>(st2.dead[0]);
-        lane_words += nw;
-        if (apply_residual && st2.any_undecided) {
-          Word* row = m.row_words(rows_idx[r]);
-          const Binding bind_a{
-              ix.decode(static_cast<int>(rows_idx[r])), rid_a, wa};
-          for (std::size_t wi = 0; wi < nw; ++wi) {
-            Word u = stage[r * Wc + wi];
-            while (u) {
-              const std::size_t bit =
-                  static_cast<std::size_t>(std::countr_zero(u));
-              u &= u - 1;
-              const std::size_t j =
-                  (w0 + wi) * NetworkArena::kWordBits + bit;
-              vm += 2;
-              ctx.x = bind_a;
-              ctx.y = Binding{ix.decode(static_cast<int>(j)), rid_b, wb};
-              bool ok = eval_compiled(c.full, ctx);
-              if (ok) {
-                std::swap(ctx.x, ctx.y);
-                ok = eval_compiled(c.full, ctx);
-              }
-              if (!ok) {
-                row[w0 + wi] &= ~(Word{1} << bit);
-                ++zeroed;
-              }
-            }
-          }
-        }
-      }
-      masked += st.masked[0];
-      zeroed += static_cast<int>(st.dead[0]);
-      lane_words += Wc;
-      rows_und[r] = st.any_undecided;
-      tile_und |= st.any_undecided;
-    }
-    ++tiles;
-    // Residual phase: the bytecode VM drains the staged undecided
-    // bits, rows ascending, bits ascending within each row.  A pair's
-    // verdict depends only on (sentence, i, j) — no matrix state — so
-    // the phase split cannot change the final bits or the counters.
-    if (apply_residual && tile_und) {
-      for (std::size_t r = 0; r < nrows; ++r) {
-        if (!rows_und[r]) continue;
-        const std::size_t ri = rows_idx[r];
-        Word* row = m.row_words(ri);
-        const Binding bind_a{ix.decode(static_cast<int>(ri)), rid_a, wa};
-        const Word* und = stage + r * Wc;
-        for (std::size_t wi = 0; wi < Wc; ++wi) {
-          Word u = und[wi];
-          while (u) {
-            const std::size_t bit =
-                static_cast<std::size_t>(std::countr_zero(u));
-            u &= u - 1;
-            const std::size_t j = wi * NetworkArena::kWordBits + bit;
-            vm += 2;
-            ctx.x = bind_a;
-            ctx.y = Binding{ix.decode(static_cast<int>(j)), rid_b, wb};
-            bool ok = eval_compiled(c.full, ctx);
-            if (ok) {
-              std::swap(ctx.x, ctx.y);
-              ok = eval_compiled(c.full, ctx);
-            }
-            if (!ok) {
-              row[wi] &= ~(Word{1} << bit);
-              ++zeroed;
-            }
-          }
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    Word* row = m.row_words(i);
+    // Fold the row value's hoisted-mask bits and the constraint's
+    // residual flags into eight broadcast constants, leaving a fixed
+    // 8-term expression per word — the same instruction stream for
+    // every row, the ACU-broadcast shape.
+    const bool ax = ma_ax.test(i), ay = ma_ay.test(i);
+    const bool cx = ma_cx.test(i), cy = ma_cy.test(i);
+    const Word nax = ones(!ax), ncx = ones(!cx);
+    const Word nay = ones(!ay), ncy = ones(!cy);
+    const Word t1c = ones(cx && !c.cons_residual);
+    const Word t2c = ones(cy && !c.cons_residual);
+    const Word f1c = ones(ax && !c.ante_residual);
+    const Word f2c = ones(ay && !c.ante_residual);
+    for (std::size_t w = 0; w < W; ++w) {
+      const Word r = row[w];
+      if (!r) continue;
+      // Direction 1 (x = row value, y = partner value j): known
+      // satisfied iff the antecedent is falsified by a hoisted part, or
+      // the consequent is proven by both hoisted parts with no
+      // residual; known violated iff the antecedent is proven and a
+      // consequent part fails.  Direction 2 mirrors with the sides
+      // swapped.
+      const Word t1 = ~AY[w] | nax | (CY[w] & t1c);
+      const Word f1 = f1c & AY[w] & (~CY[w] | ncx);
+      const Word t2 = ~AX[w] | nay | (CX[w] & t2c);
+      const Word f2 = f2c & AX[w] & (~CX[w] | ncy);
+      const Word kill = f1 | f2;
+      const Word und = r & ~kill & ~(t1 & t2);
+      row[w] = r & ~kill;
+      masked += static_cast<std::size_t>(std::popcount(r) - std::popcount(und));
+      zeroed += std::popcount(r & kill);
+      if (!apply_residual || !und) continue;
+      // Residual: the bytecode VM decides what the masks left open.  A
+      // pair's verdict depends only on (sentence, i, j), never on
+      // matrix state, so deciding it here or later is the same.
+      const Binding bind_a{ix.decode(axis_a[i]), rid_a, wa};
+      for (Word u = und; u; u &= u - 1) {
+        const std::size_t bit = static_cast<std::size_t>(std::countr_zero(u));
+        const Binding bind_b{ix.decode(axis_b[w * kWordBits + bit]), rid_b,
+                             wb};
+        if (!pair_holds(c.full, ctx, bind_a, bind_b, vm)) {
+          row[w] &= ~(Word{1} << bit);
+          ++zeroed;
         }
       }
     }
   }
+  a.arc_live(arc) -= static_cast<std::uint32_t>(zeroed);
   if (counters.vm_evals) *counters.vm_evals += vm;
   if (counters.masked) *counters.masked += masked;
-  if (counters.tile_sweeps) *counters.tile_sweeps += tiles;
-  if (counters.lane_words) *counters.lane_words += lane_words;
+  if (counters.tile_sweeps) ++*counters.tile_sweeps;
+  if (counters.lane_words) *counters.lane_words += m.rows() * W;
   return zeroed;
 }
 
@@ -483,45 +408,50 @@ void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
                   counters.vm_evals);
 }
 
-void support_mask(const NetworkArena& a, int role, util::BitSpan out) {
-  using Word = NetworkArena::Word;
+void support_mask(NetworkArena& a, int role, util::BitSpan out) {
   assert(out.size() == static_cast<std::size_t>(a.domain_size()));
-  // Dead values are unsupported by definition (their rows/columns are
-  // zeroed), so start from the domain and only ever clear bits.
-  out.copy_from(a.domain(role));
+  const NetworkArena& ca = a;
+  const std::span<const std::int32_t> axis = a.axis(role);
+  const util::ConstBitSpan dom = ca.domain(role);
+  // Work on the compact axis.  Dead values are unsupported by
+  // definition (their rows/columns are zeroed), so start from the
+  // values still alive and only ever clear bits.
+  util::BitSpan sup = a.compact_scratch(role);
+  sup.reset_all();
+  for (std::size_t c = 0; c < axis.size(); ++c)
+    if (dom.test(static_cast<std::size_t>(axis[c]))) sup.set(c);
+  Word* sw = sup.words();
+  const std::size_t W = sup.word_count();
   const int R = a.roles();
-  const std::size_t W = out.word_count();
-  Word* ow = out.words();
-  for (int other = 0; other < R; ++other) {
+  for (int other = 0; other < R && sup.any(); ++other) {
     if (other == role) continue;
     if (role < other) {
-      // Row side: one row_any bit per value still in the running.
-      // Iterating `out` (not the domain) skips values an earlier arc
-      // already disqualified.
-      const auto m = a.arc(role, other);
-      out.for_each([&](std::size_t rv) {
-        if (!m.row_any(rv)) out.reset(rv);
+      // Row side: one row-any bit per value still in the running.
+      const util::ConstBitMatrixView m = ca.arc(role, other);
+      sup.for_each([&](std::size_t c) {
+        if (!m.row_any(c)) sup.reset(c);
       });
     } else {
-      // Column side: OR-fold the partner's ALIVE rows word-by-word,
-      // turning D strided per-column probes into one sequential pass
-      // proportional to the live network (dead rows are all-zero and
-      // contribute nothing).  Blocked so the accumulator stays on the
-      // stack for any domain size.
-      const auto m = a.arc(other, role);
-      const util::ConstBitSpan dom_b = a.domain(other);
-      const simd::Ops& ops = simd::ops();
+      // Column side: OR-fold the partner's rows word by word (dead rows
+      // are all-zero and contribute nothing).  Blocked so the
+      // accumulator stays on the stack for any axis length.
+      const util::ConstBitMatrixView m = ca.arc(other, role);
       constexpr std::size_t kBlock = 64;
       Word acc[kBlock];
       for (std::size_t w0 = 0; w0 < W; w0 += kBlock) {
         const std::size_t nb = std::min(kBlock, W - w0);
         for (std::size_t b = 0; b < nb; ++b) acc[b] = 0;
-        dom_b.for_each(
-            [&](std::size_t r) { ops.or_into(acc, m.row_words(r) + w0, nb); });
-        ops.and_into(ow + w0, acc, nb);
+        for (std::size_t r = 0; r < m.rows(); ++r) {
+          const Word* row = m.row_words(r) + w0;
+          for (std::size_t b = 0; b < nb; ++b) acc[b] |= row[b];
+        }
+        for (std::size_t b = 0; b < nb; ++b) sw[w0 + b] &= acc[b];
       }
     }
   }
+  out.reset_all();
+  sup.for_each(
+      [&](std::size_t c) { out.set(static_cast<std::size_t>(axis[c])); });
 }
 
 }  // namespace parsec::cdg::kernels

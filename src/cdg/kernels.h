@@ -1,22 +1,28 @@
 // Engine-agnostic filtering kernels over arena spans.
 //
-// Every backend — the sequential parser, the OpenMP engine, the CRCW
-// P-RAM step model, the topology models, and (for its packed l×l PE
-// words) the MasPar simulation — performs the same four bit-level
-// operations: zero an eliminated role value's rows/columns, test
-// support, evaluate a unary constraint over a domain, and sweep a
-// binary constraint over an arc matrix.  These used to live as bespoke
-// inner loops in each engine; they are defined once here, expressed
-// over NetworkArena spans, so a layout change (or a future SIMD word
-// kernel) lands in exactly one place.
+// Every host backend — the sequential parser, the OpenMP engine, the
+// CRCW P-RAM step model and the topology models — performs the same
+// bit-level operations: zero an eliminated role value's rows/columns,
+// test support, evaluate a unary constraint over a domain, and sweep a
+// binary constraint over an arc matrix.  They are defined once here,
+// expressed over NetworkArena spans, so the arc layout is known only to
+// cdg/arena, cdg/network and this layer.
 //
-// Semantics contracts (the equivalence tests depend on them):
+// Arc matrices are compact (cdg/arena.h): built after unary
+// propagation, arc (a, b) holds one row per value on a's compact axis
+// and one column per value on b's, so every kernel below that touches an
+// arc works in compact ids and maps back to dense role values through
+// NetworkArena::axis only where a binding or a domain bit needs it.
+// Domains, truth masks and support bitmasks stay dense D-bit rows.
+//
+// Semantics contracts (the equivalence and golden tests depend on them):
 //   * iteration order is role-major, rv-ascending, and set-bit
-//     ascending within rows — matching the sequential formulation;
+//     ascending within rows — matching the sequential formulation
+//     (compact ids ascend with the dense values they stand for);
 //   * counter hooks (`evals`) replicate the historical increments
 //     exactly: one per unary test, two per binary pair tested (whether
 //     or not the second assignment runs);
-//   * sweep_binary clears bits in place and returns how many.
+//   * the sweeps clear bits in place and return how many.
 //
 // Counter-hook contract for the masked (vectorized) kernels:
 //   * `evals` still counts ACTUAL bytecode-VM dispatches — one per
@@ -42,52 +48,23 @@
 #include "cdg/arena.h"
 #include "cdg/constraint_eval.h"
 #include "cdg/role_value.h"
-#include "cdg/simd.h"
 #include "util/bitmatrix.h"
 #include "util/bitset.h"
 
-// Portable inner-loop vectorization hint for the few word loops that
-// do NOT route through the runtime dispatch table in cdg/simd.h:
-// `omp simd` (compiled with any OpenMP-capable compiler, no runtime
-// needed) lets the auto-vectorizer commit to SIMD code without a
-// legality analysis.  Compiles to nothing when OpenMP is off (e.g. the
-// TSan CI leg).  Not to be confused with the PARSEC_SIMD *environment
-// variable*, which caps the dispatch tier at runtime (cdg/simd.h).
-#if defined(_OPENMP)
-#define PARSEC_OMP_SIMD _Pragma("omp simd")
-#else
-#define PARSEC_OMP_SIMD
-#endif
-
 namespace parsec::cdg::kernels {
 
-/// Zeroes (role, rv)'s row (in arcs where `role` is the row side) and
-/// column (where it is the column side) across every incident arc
-/// matrix.  The matrix never shrinks (paper §2.2.1, design decision 4).
-/// Column clears walk only the partner's alive rows, relying on the
-/// arc invariant (bits only at alive×alive positions) that every
-/// engine maintains.
-void zero_row_col(NetworkArena& a, int role, int rv);
-
-/// Batched zero_row_col for several victims of ONE role: rows are
-/// zeroed per victim, but each column-side arc is cleared in a single
-/// ANDN pass over the partner's alive rows using a victim bitmask
-/// built in `scratch` (D bits, clobbered — the arena's support
-/// scratch row for `role` is a natural fit).  End state is identical
-/// to calling zero_row_col once per victim.
-void zero_rows_cols(NetworkArena& a, int role, std::span<const int> rvs,
-                    util::BitSpan scratch);
+/// Zeroes the rows (in arcs where `role` is the row side) and columns
+/// (where it is the column side) of compact ids `cids` of `role` across
+/// every incident arc matrix.  The matrix never shrinks (paper §2.2.1,
+/// design decision 4).  Each column-side arc is cleared in one ANDN
+/// pass over its rows with a victim bitmask built in `role`'s compact
+/// scratch row (clobbered).  Like every kernel that clears arc bits, it
+/// subtracts what it cleared from NetworkArena::arc_live.
+void zero_rows_cols(NetworkArena& a, int role, std::span<const int> cids);
 
 /// True iff every arc incident to `role` still has a supporting 1-bit
-/// for rv (the AND of row/column ORs, paper §1.4).
-bool supported(const NetworkArena& a, int role, int rv);
-
-/// Rebuilds the AC-4 support counters in `a.support_counts()` from the
-/// current domains and arc matrices.  Word-granular: row counts are
-/// popcounts over row words, column counts come from iterating each
-/// row's set bits — no per-bit matrix probes.  Returns the number of
-/// row words scanned (the initial counting work).
-std::size_t count_supports(NetworkArena& a);
+/// for compact id `cid` (the AND of row/column ORs, paper §1.4).
+bool supported(const NetworkArena& a, int role, int cid);
 
 /// Evaluates one unary constraint over the set bits of `domain`
 /// (ascending), appending failing dense rv indices to `victims`.
@@ -107,16 +84,16 @@ void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
                      util::ConstBitSpan domain, std::span<std::uint8_t> flags,
                      std::size_t* evals = nullptr);
 
-/// Sweeps one binary constraint over the surviving bits of one arc
-/// matrix: for every (alive_a[i], alive_b[j]) pair whose bit is set,
-/// evaluates both variable assignments and clears the bit on failure.
-/// If `evals` is non-null it is incremented by 2 per pair tested
-/// (both assignments are charged even when the first already fails).
-/// Returns the number of bits cleared.
-int sweep_binary(const CompiledConstraint& c, const Sentence& sent,
-                 util::BitMatrixView m, std::span<const int> alive_a,
-                 std::span<const Binding> bind_a, std::span<const int> alive_b,
-                 std::span<const Binding> bind_b,
+/// Sweeps one binary constraint over the surviving bits of compact arc
+/// `arc`: for every set bit, evaluates both variable assignments of the
+/// pair of dense values it stands for and clears the bit on failure.
+/// `roles_per_word` maps the arc's roles to (role id, word) bindings.
+/// If `evals` is non-null it is incremented by 2 per pair tested (both
+/// assignments are charged even when the first already fails).
+/// Returns the number of bits cleared.  This is the one-dispatch-per-
+/// pair oracle the masked sweep must match (ParseOptions::use_masks).
+int sweep_binary(NetworkArena& a, std::size_t arc, const CompiledConstraint& c,
+                 const Sentence& sent, const RvIndexer& ix, int roles_per_word,
                  std::size_t* evals = nullptr);
 
 // ---------------------------------------------------------------------
@@ -144,7 +121,7 @@ struct FactoredMasks {
 /// arena.reinits(), so Network::reinit invalidates every mask in O(1).
 class MaskCache {
  public:
-  static constexpr std::size_t kSlotsPerConstraint = 4;
+  static constexpr std::size_t kSlotsPerConstraint = NetworkArena::kMaskParts;
 
   /// Sizes the generation table for `num_binary` constraints (the
   /// arena's mask region must hold 4 * num_binary slots).
@@ -173,6 +150,12 @@ class MaskCache {
                      std::size_t k, const Sentence& sent, const RvIndexer& ix,
                      int roles_per_word);
 
+  /// Copies constraint k's four masks (must be built) onto every role's
+  /// compact axis, into the arena's compact mask rows, and records which
+  /// roles have any antecedent bit set (NetworkArena::mask_any), for
+  /// the sweeps (arena must be compacted).
+  void gather(NetworkArena& a, std::size_t k) const;
+
   /// Mask spans of constraint k for `role` (must be built).
   FactoredMasks masks(const NetworkArena& a, std::size_t k, int role) const {
     assert(built(a, k));
@@ -195,58 +178,34 @@ struct MaskedCounters {
   std::size_t* vm_evals = nullptr;       // actual bytecode dispatches
   std::size_t* masked = nullptr;         // pairs/values decided mask-only
   std::size_t* build_evals = nullptr;    // hoisted evals spent on masks
-  // Tiled-sweep bookkeeping: row tiles processed and 64-bit words put
-  // through the dispatched row kernel.  Both are pure functions of the
-  // network state (tier-independent — the scalar, AVX2 and AVX-512
-  // paths process identical words), so the perf gate can pin them.
+  // Sweep bookkeeping: compact arcs whose rows went through the mask
+  // expression (`tile_sweeps`, one block per arc read) and their 64-bit
+  // row words (`lane_words`).  Both are pure functions of the network
+  // state, so the perf gate can pin them.
   std::size_t* tile_sweeps = nullptr;
   std::size_t* lane_words = nullptr;
 };
 
-/// Tiling of the masked binary sweep: alive rows are processed in
-/// blocks of up to `rows` rows — one uninterrupted dispatched-kernel
-/// pass over the block staging every undecided word, then one residual
-/// bytecode-VM pass over the staged bits (cache-blocked BMM shape: the
-/// vector phase never alternates with VM dispatches).  Results and
-/// counter totals are identical for every tile size, because a pair's
-/// residual verdict depends only on (sentence, i, j), never on sweep
-/// order; the tile-size axis of bench_ablation_masks measures the cost
-/// difference.  `rows` is clamped to [1, kMaxSweepTileRows], and a
-/// tile never stages more words than the kernel's stack budget allows
-/// (wide rows shrink the effective block height).
-struct SweepTiling {
-  std::size_t rows = 64;
-};
-
-inline constexpr std::size_t kMaxSweepTileRows = 64;
-
-/// Process-wide tiling override (ablation/bench knob).  Not a
-/// synchronization point: set before parsing starts, like
-/// simd::force_tier.
-void set_sweep_tiling(const SweepTiling& t);
-SweepTiling sweep_tiling();
-
-/// Masked sweep of one binary constraint over one arc matrix: the
-/// separable part of the constraint is applied as bitwise AND/ANDN over
-/// each surviving row, deciding most pairs without a VM dispatch; only
-/// pairs the masks leave undecided fall back to the full bytecode
-/// program (both variable assignments, exactly like sweep_binary).
-/// The row pass runs through the runtime-dispatched SIMD kernel
-/// (cdg/simd.h — scalar / AVX2 / AVX-512, all bit-identical) in
-/// cache-blocked row tiles (SweepTiling above): per tile, one vector
-/// phase stages the undecided words, then one residual-VM phase
-/// resolves them.
-/// `dom_a` enumerates the row side's alive values; (rid, w) pairs give
-/// the roles' binding coordinates for the fallback.  When
-/// `apply_residual` is false undecided pairs are left untouched (the
-/// mask-only ablation mode; results then UNDER-approximate the plain
-/// sweep).  Returns bits cleared.  Bit-identical to sweep_binary by
-/// construction when `apply_residual` is true.
-int sweep_binary_masked(const FactoredConstraint& c, const Sentence& sent,
-                        util::BitMatrixView m, util::ConstBitSpan dom_a,
-                        const FactoredMasks& ma, RoleId rid_a, WordPos wa,
-                        const FactoredMasks& mb, RoleId rid_b, WordPos wb,
-                        const RvIndexer& ix, const MaskedCounters& counters,
+/// Masked sweep of one binary constraint over compact arc `arc`: the
+/// separable part of the constraint is applied as a fixed 8-term
+/// AND/ANDN/OR expression per row word over the partner's gathered
+/// compact masks (MaskCache::gather must have run for this
+/// constraint), deciding most pairs without a VM dispatch; only pairs
+/// the masks leave undecided fall back to the full bytecode program
+/// (both variable assignments, exactly like sweep_binary).  An arc with
+/// no set bit is skipped, and so is one on which no row value passes
+/// ante_x while a partner passes ante_y, nor the mirror: the masks
+/// decide all its pairs "keep" (charged to `masked` from the arena's
+/// live-bit count, NetworkArena::arc_live) without reading a row.  When
+/// `apply_residual` is false undecided
+/// pairs are left untouched (the mask-only ablation mode; results then
+/// UNDER-approximate the plain sweep).  Returns bits cleared.
+/// Bit-identical to sweep_binary by construction when `apply_residual`
+/// is true.
+int sweep_binary_masked(NetworkArena& a, std::size_t arc,
+                        const FactoredConstraint& c, const Sentence& sent,
+                        const RvIndexer& ix, int roles_per_word,
+                        const MaskedCounters& counters,
                         bool apply_residual = true);
 
 /// Hoisted-guard unary propagation: evaluates the constraint's
@@ -269,14 +228,15 @@ void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
                             std::span<std::uint8_t> flags,
                             const MaskedCounters& counters);
 
-/// Word-parallel support sweep for one role: writes, into `out` (D
-/// bits), the AND over every incident arc of "role value has at least
-/// one supporting 1-bit on this arc".  Row-side arcs contribute one
-/// row_any bit per value; column-side arcs contribute an OR-fold of
-/// the partner's rows (one sequential pass instead of D strided
-/// column probes).  out.test(rv) == supported(a, role, rv) for every
-/// rv; dead values simply read 0.
-void support_mask(const NetworkArena& a, int role, util::BitSpan out);
+/// Word-parallel support sweep for one role (arena must be compacted):
+/// writes, into `out` (D bits, dense), the AND over every incident arc
+/// of "role value has at least one supporting 1-bit on this arc".
+/// Works on the role's compact axis in its compact scratch row
+/// (clobbered): row-side arcs contribute one row-any bit per value,
+/// column-side arcs an OR-fold of the partner's rows.  out.test(rv) ==
+/// supported(a, role, compact_id(role, rv)) for every alive rv; dead
+/// values read 0.
+void support_mask(NetworkArena& a, int role, util::BitSpan out);
 
 // ---------------------------------------------------------------------
 // Packed l×l submatrix kernels (MasPar PE words, paper Fig. 13).

@@ -1,22 +1,52 @@
 #include "cdg/network.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "cdg/kernels.h"
 #include "obs/trace.h"
 
 namespace parsec::cdg {
 
+namespace {
+
+/// Most values each role can ever hold: n modifiees (nil and every other
+/// word) for each label the role allows under the word's category, at
+/// the most permissive category.  A function of (grammar, n) alone, so
+/// every same-length sentence fits the same arena.
+std::vector<int> axis_capacities(const Grammar& g, int n) {
+  const int q = g.num_roles();
+  std::vector<int> per_rid(static_cast<std::size_t>(q), 0);
+  for (RoleId rid = 0; rid < q; ++rid)
+    for (CatId cat = 0; cat < g.num_categories(); ++cat) {
+      int labels = 0;
+      for (LabelId l = 0; l < g.num_labels(); ++l)
+        if (g.label_allowed(rid, cat, l)) ++labels;
+      per_rid[rid] = std::max(per_rid[rid], labels * n);
+    }
+  std::vector<int> caps(static_cast<std::size_t>(n) * q);
+  for (std::size_t r = 0; r < caps.size(); ++r) caps[r] = per_rid[r % q];
+  return caps;
+}
+
+}  // namespace
+
 Network::Network(const Grammar& g, const Sentence& s, Options opt)
-    : grammar_(&g), sentence_(s), indexer_(s.size(), g.num_labels()) {
+    : grammar_(&g),
+      sentence_(s),
+      indexer_(s.size(), g.num_labels()),
+      opt_(opt) {
   if (s.size() <= 0) throw std::invalid_argument("empty sentence");
   const std::size_t num_binary = g.binary_constraints().size();
   arena_.reshape(num_roles(), domain_size(),
-                 kernels::MaskCache::kSlotsPerConstraint * num_binary);
+                 kernels::MaskCache::kSlotsPerConstraint * num_binary,
+                 axis_capacities(g, n()));
   mask_cache_.configure(num_binary);
+  cids_.reserve(static_cast<std::size_t>(domain_size()));
   init_domains();
-  if (opt.prebuild_arcs) build_arcs();
+  if (opt_.prebuild_arcs) build_arcs();
 }
 
 void Network::init_domains() {
@@ -53,8 +83,10 @@ bool Network::reinit(const Sentence& s) {
   current_cause_ = "consistency";
   clean_sweep_at_ = kNoCleanSweep;
   arena_.reinit();
+  arcs_built_ = false;
+  gathered_slot_ = kNoSlot;
   init_domains();
-  if (arcs_built_) fill_arcs();
+  if (opt_.prebuild_arcs) build_arcs();
   return true;
 }
 
@@ -67,24 +99,9 @@ std::vector<RoleValue> Network::alive_values(int role) const {
 
 void Network::build_arcs() {
   if (arcs_built_) return;
-  fill_arcs();
+  arena_.compact();
   arcs_built_ = true;
-}
-
-void Network::fill_arcs() {
-  const int R = num_roles();
-  for (int ra = 0; ra < R; ++ra) {
-    for (int rb = ra + 1; rb < R; ++rb) {
-      util::BitMatrixView m = arena_.arc(ra, rb);
-      m.reset_all();
-      // Alive rows get a word-for-word copy of the partner's domain:
-      // bit (i, j) is set iff both role values are alive.
-      const util::ConstBitSpan db = domain(rb);
-      domain(ra).for_each(
-          [&](std::size_t i) { m.row_span(i).copy_from(db); });
-    }
-  }
-  arena_.set_counts_valid(false);
+  gathered_slot_ = kNoSlot;
 }
 
 util::ConstBitMatrixView Network::arc_matrix(int ra, int rb) const {
@@ -93,37 +110,44 @@ util::ConstBitMatrixView Network::arc_matrix(int ra, int rb) const {
 }
 
 bool Network::arc_allows(int ra, int rv_a, int rb, int rv_b) const {
-  assert(arcs_built_);
-  if (ra < rb)
-    return arena_.arc(ra, rb).test(static_cast<std::size_t>(rv_a),
-                                   static_cast<std::size_t>(rv_b));
-  return arena_.arc(rb, ra).test(static_cast<std::size_t>(rv_b),
-                                 static_cast<std::size_t>(rv_a));
+  if (!arcs_built_) return alive(ra, rv_a) && alive(rb, rv_b);
+  if (ra > rb) {
+    std::swap(ra, rb);
+    std::swap(rv_a, rv_b);
+  }
+  const int i = arena_.compact_id(ra, rv_a);
+  const int j = arena_.compact_id(rb, rv_b);
+  return i >= 0 && j >= 0 &&
+         arena_.arc(ra, rb).test(static_cast<std::size_t>(i),
+                                 static_cast<std::size_t>(j));
 }
 
 void Network::arc_forbid(int ra, int rv_a, int rb, int rv_b) {
-  assert(arcs_built_);
-  if (ra < rb)
-    arena_.arc(ra, rb).reset(static_cast<std::size_t>(rv_a),
-                             static_cast<std::size_t>(rv_b));
-  else
-    arena_.arc(rb, ra).reset(static_cast<std::size_t>(rv_b),
-                             static_cast<std::size_t>(rv_a));
+  build_arcs();
+  if (ra > rb) {
+    std::swap(ra, rb);
+    std::swap(rv_a, rv_b);
+  }
+  const int i = arena_.compact_id(ra, rv_a);
+  const int j = arena_.compact_id(rb, rv_b);
+  const std::size_t t = arena_.arc_index(ra, rb);
+  util::BitMatrixView m = arena_.arc(t);
+  if (i >= 0 && j >= 0 &&
+      m.test(static_cast<std::size_t>(i), static_cast<std::size_t>(j))) {
+    m.reset(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
+    --arena_.arc_live(t);
+  }
   ++counters_.arc_zeroings;
-  arena_.set_counts_valid(false);
 }
 
 void Network::refresh_alive_cache() {
   const int R = num_roles();
   alive_off_.resize(static_cast<std::size_t>(R) + 1);
   alive_flat_.clear();
-  bind_flat_.clear();
   for (int role = 0; role < R; ++role) {
     alive_off_[role] = alive_flat_.size();
-    domain(role).for_each([&](std::size_t rv) {
-      alive_flat_.push_back(static_cast<int>(rv));
-      bind_flat_.push_back(binding(role, static_cast<int>(rv)));
-    });
+    domain(role).for_each(
+        [&](std::size_t rv) { alive_flat_.push_back(static_cast<int>(rv)); });
   }
   alive_off_[R] = alive_flat_.size();
 }
@@ -157,21 +181,12 @@ int Network::apply_binary(const CompiledConstraint& c) {
   assert(c.arity == 2);
   build_arcs();
   int zeroed = 0;
-  const int R = num_roles();
-
-  // Pre-decode alive bindings per role once; the pair loop is the hot
-  // path (O(n^4) evaluations per constraint, paper §1.4).
-  refresh_alive_cache();
-
-  for (int ra = 0; ra < R; ++ra) {
-    for (int rb = ra + 1; rb < R; ++rb) {
-      zeroed += kernels::sweep_binary(
-          c, sentence_, arena_.arc(ra, rb), alive_list(ra), binding_list(ra),
-          alive_list(rb), binding_list(rb), &counters_.binary_evals);
-    }
-  }
+  const std::size_t A = num_arcs();
+  for (std::size_t t = 0; t < A; ++t)
+    zeroed += kernels::sweep_binary(arena_, t, c, sentence_, indexer_,
+                                    roles_per_word(),
+                                    &counters_.binary_evals);
   counters_.arc_zeroings += static_cast<std::size_t>(zeroed);
-  if (zeroed) arena_.set_counts_valid(false);
   return zeroed;
 }
 
@@ -208,29 +223,35 @@ void Network::ensure_masks(const FactoredConstraint& c, std::size_t slot) {
   span.arg("build_evals", evals);
 }
 
+void Network::prepare_binary(const FactoredConstraint& c, std::size_t slot) {
+  build_arcs();
+  ensure_masks(c, slot);
+  if (gathered_slot_ == slot) return;
+  mask_cache_.gather(arena_, slot);
+  gathered_slot_ = slot;
+}
+
+int Network::sweep_arc(const FactoredConstraint& c, std::size_t arc,
+                       const kernels::MaskedCounters& mc,
+                       bool apply_residual) {
+  return kernels::sweep_binary_masked(arena_, arc, c, sentence_, indexer_,
+                                      roles_per_word(), mc, apply_residual);
+}
+
 int Network::apply_binary(const FactoredConstraint& c, std::size_t slot,
                           bool apply_residual) {
   assert(c.arity == 2);
-  build_arcs();
-  ensure_masks(c, slot);
+  prepare_binary(c, slot);
   kernels::MaskedCounters mc;
   mc.vm_evals = &counters_.binary_evals;
   mc.masked = &counters_.masked_binary_pairs;
   mc.tile_sweeps = &counters_.tile_sweeps;
   mc.lane_words = &counters_.simd_lane_words;
   int zeroed = 0;
-  const int R = num_roles();
-  for (int ra = 0; ra < R; ++ra) {
-    const kernels::FactoredMasks ma = masks(slot, ra);
-    for (int rb = ra + 1; rb < R; ++rb) {
-      zeroed += kernels::sweep_binary_masked(
-          c, sentence_, arena_.arc(ra, rb), domain(ra), ma, role_id_of(ra),
-          word_of_role(ra), masks(slot, rb), role_id_of(rb), word_of_role(rb),
-          indexer_, mc, apply_residual);
-    }
-  }
+  const std::size_t A = num_arcs();
+  for (std::size_t t = 0; t < A; ++t)
+    zeroed += sweep_arc(c, t, mc, apply_residual);
   counters_.arc_zeroings += static_cast<std::size_t>(zeroed);
-  if (zeroed) arena_.set_counts_valid(false);
   return zeroed;
 }
 
@@ -242,9 +263,10 @@ void Network::eliminate(int role, int rv) {
   if (trace_)
     trace_(TraceEvent{current_kind_, current_cause_, role,
                       indexer_.decode(rv)});
-  arena_.set_counts_valid(false);
   if (!arcs_built_) return;
-  kernels::zero_row_col(arena_, role, rv);
+  const int cid = arena_.compact_id(role, rv);
+  assert(cid >= 0);  // alive values are on the axis
+  kernels::zero_rows_cols(arena_, role, std::span<const int>(&cid, 1));
 }
 
 int Network::eliminate_batch(int role, std::span<const int> rvs) {
@@ -260,28 +282,28 @@ int Network::eliminate_batch(int role, std::span<const int> rvs) {
       trace_(TraceEvent{current_kind_, current_cause_, role,
                         indexer_.decode(rv)});
   }
-  if (!killed) return 0;
-  arena_.set_counts_valid(false);
-  if (!arcs_built_) return killed;
-  // Small batches: the fused column pass costs one word-row ANDN per
-  // alive partner value regardless of batch size, so it only wins once
-  // the batch exceeds the row width in words.
-  if (rvs.size() <= d.word_count()) {
-    for (int rv : rvs) kernels::zero_row_col(arena_, role, rv);
-  } else {
-    kernels::zero_rows_cols(arena_, role, rvs, arena_.support_scratch(role));
+  if (!killed || !arcs_built_) return killed;
+  // Every value alive now was alive when the arcs were built, so each
+  // victim has a compact id; values that were already dead are skipped
+  // (their rows and columns are zero).
+  cids_.clear();
+  for (int rv : rvs) {
+    const int cid = arena_.compact_id(role, rv);
+    if (cid >= 0) cids_.push_back(cid);
   }
+  kernels::zero_rows_cols(arena_, role, cids_);
   return killed;
 }
 
 bool Network::supported(int role, int rv) {
-  assert(arcs_built_);
+  build_arcs();
   ++counters_.support_checks;
-  return kernels::supported(arena_, role, rv);
+  const int cid = arena_.compact_id(role, rv);
+  return cid >= 0 && kernels::supported(arena_, role, cid);
 }
 
 util::ConstBitSpan Network::support_mask(int role) {
-  assert(arcs_built_);
+  build_arcs();
   counters_.support_checks += domain(role).count();
   kernels::support_mask(arena_, role, arena_.support_scratch(role));
   return arena_.support_scratch(role);
@@ -334,9 +356,8 @@ bool Network::all_roles_nonempty() const {
 
 bool Network::check_invariants() const {
   const int R = num_roles();
-  const std::size_t D = static_cast<std::size_t>(domain_size());
-  // Layout invariant for the SIMD tile loads: domain, mask and
-  // support-scratch rows start on cache-line boundaries.
+  // Layout invariant: domain, mask and support-scratch rows start on
+  // cache-line boundaries.
   auto aligned = [](const NetworkArena::Word* p) {
     return reinterpret_cast<std::uintptr_t>(p) %
                NetworkArena::kRowAlignBytes ==
@@ -349,47 +370,40 @@ bool Network::check_invariants() const {
       if (!aligned(arena_.mask(s, r).words())) return false;
   }
   if (!arcs_built_) return true;
-  for (int ra = 0; ra < R; ++ra) {
-    const util::ConstBitSpan da = domain(ra);
-    for (int rb = ra + 1; rb < R; ++rb) {
-      const util::ConstBitSpan db = domain(rb);
-      const util::ConstBitMatrixView m = arena_.arc(ra, rb);
-      for (std::size_t i = 0; i < D; ++i) {
-        // Arc bits may only exist at alive×alive positions; in
-        // particular an eliminated value's row/column must be zero.
-        if (!da.test(i)) {
-          if (m.row_any(i)) return false;
-          continue;
-        }
-        bool bad = false;
-        m.row_span(i).for_each([&](std::size_t j) {
-          if (!db.test(j)) bad = true;
-        });
-        if (bad) return false;
-      }
-    }
+  // Every alive value is on its role's (ascending) compact axis.
+  for (int r = 0; r < R; ++r) {
+    const std::span<const std::int32_t> ax = arena_.axis(r);
+    for (std::size_t c = 1; c < ax.size(); ++c)
+      if (ax[c - 1] >= ax[c]) return false;
+    bool on_axis = true;
+    domain(r).for_each([&](std::size_t rv) {
+      if (arena_.compact_id(r, static_cast<int>(rv)) < 0) on_axis = false;
+    });
+    if (!on_axis) return false;
   }
-  if (arena_.counts_valid()) {
-    // AC-4 counters must equal the live support counts.
-    const auto counts = arena_.support_counts();
-    for (int ra = 0; ra < R; ++ra) {
-      for (int rb = ra + 1; rb < R; ++rb) {
-        const util::ConstBitMatrixView m = arena_.arc(ra, rb);
-        for (std::size_t i = 0; i < D; ++i) {
-          if (!domain(ra).test(i)) continue;
-          if (counts[(static_cast<std::size_t>(ra) * D + i) * R + rb] !=
-              static_cast<std::int32_t>(m.row_count(i)))
-            return false;
-        }
-        for (std::size_t j = 0; j < D; ++j) {
-          if (!domain(rb).test(j)) continue;
-          std::int32_t col = 0;
-          for (std::size_t i = 0; i < D; ++i)
-            if (m.test(i, j)) ++col;
-          if (counts[(static_cast<std::size_t>(rb) * D + j) * R + ra] != col)
-            return false;
-        }
+  // Arc bits only at alive×alive positions (an eliminated value's row
+  // and column are zero), and none past a row's last column.
+  for (std::size_t t = 0; t < num_arcs(); ++t) {
+    const auto [ra, rb] = arena_.arc_pair(t);
+    const std::span<const std::int32_t> ax_a = arena_.axis(ra);
+    const std::span<const std::int32_t> ax_b = arena_.axis(rb);
+    const util::ConstBitMatrixView m = arena_.arc(t);
+    if (m.count() != arena_.arc_live(t)) return false;
+    const std::size_t cols = m.cols();
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      const std::size_t W = m.row_word_count();
+      if (W && cols % NetworkArena::kWordBits &&
+          (m.row_words(i)[W - 1] >> (cols % NetworkArena::kWordBits)))
+        return false;
+      if (!alive(ra, ax_a[i])) {
+        if (m.row_any(i)) return false;
+        continue;
       }
+      bool bad = false;
+      m.row_span(i).for_each([&](std::size_t j) {
+        if (!alive(rb, ax_b[j])) bad = true;
+      });
+      if (bad) return false;
     }
   }
   return true;
@@ -405,7 +419,14 @@ std::size_t Network::total_alive() const {
 std::size_t Network::arc_ones() const {
   std::size_t total = 0;
   const std::size_t A = arena_.num_arcs();
-  for (std::size_t t = 0; t < A; ++t) total += arena_.arc(t).count();
+  for (std::size_t t = 0; t < A; ++t) {
+    if (arcs_built_) {
+      total += arena_.arc(t).count();
+    } else {
+      const auto [ra, rb] = arena_.arc_pair(t);
+      total += domain(ra).count() * domain(rb).count();
+    }
+  }
   return total;
 }
 

@@ -11,18 +11,27 @@
 // O(n^2)-bit matrix, i.e. O(n^4) arc elements in total — the quantity
 // the MasPar spreads across its PEs.
 //
-// Storage: every bit of network state (domains, arc matrices, AC-4
-// counters, elimination staging) lives in ONE contiguous NetworkArena
+// Storage: every bit of network state (domains, arc matrices, truth
+// masks, elimination staging) lives in ONE contiguous NetworkArena
 // allocation (cdg/arena.h), mirroring the paper's flat PE-array layout
 // (§2.2.1).  Accessors hand out spans/views into that arena, and the
 // propagation operations route through the shared cdg/kernels.h layer
-// used by every engine.
+// used by every host engine.
 //
-// MasPar fidelity choices mirrored here (§2.2.1):
-//   * arc matrices can be built before unary propagation (design
-//     decision 1; `Options::prebuild_arcs`), or lazily after;
-//   * eliminated role values never shrink a matrix — their rows and
-//     columns are zeroed in place (design decision 4).
+// Arc layout: domains are dense D-bit rows, but the arc matrices are
+// built on first use (the first binary constraint, consistency sweep or
+// support query), normally after unary propagation, over *compact axes*:
+// each role's values alive at that moment, renumbered 0..|A|-1.  An arc
+// is then |Aa| x |Ab| bits instead of D x D, most of which would be
+// zero.  The dense-rv accessors (arc_allows, arc_forbid, eliminate,
+// supported) translate through the axes, so callers never see compact
+// ids; arc_matrix() and compact_axis() expose the layout itself.
+//
+// MasPar fidelity: eliminated role values never shrink a matrix — their
+// rows and columns are zeroed in place (design decision 4).  Building
+// arcs before unary propagation (design decision 1) is modelled by the
+// MasPar engine's own PE layout; here `Options::prebuild_arcs` merely
+// builds the compact arcs over the full initial domains.
 #pragma once
 
 #include <cstddef>
@@ -58,11 +67,11 @@ struct NetworkCounters {
   std::size_t masked_binary_pairs = 0;
   std::size_t masked_unary_decided = 0;
   std::size_t mask_build_evals = 0;
-  /// Tiled-sweep bookkeeping: row tiles dispatched through the SIMD
-  /// kernel layer and 64-bit lane-words it processed.  Both are
-  /// functions of the network shape and sweep schedule only — the same
-  /// on every dispatch tier (scalar/AVX2/AVX-512), so the perf gate can
-  /// pin them on any machine.
+  /// Sweep bookkeeping: arc blocks the masked kernel read (one per
+  /// compact arc it could not decide unread; one per row tile in the
+  /// SoA batch) and 64-bit words put through its mask expression.  Both
+  /// are functions of the network state and sweep schedule only, so the
+  /// perf gate can pin them on any machine.
   std::size_t tile_sweeps = 0;
   std::size_t simd_lane_words = 0;
 
@@ -95,11 +104,11 @@ struct NetworkCounters {
 };
 
 struct NetworkOptions {
-  /// Build arc matrices at construction (MasPar design decision 1)
-  /// instead of on first binary-constraint application (the paper's
-  /// sequential formulation, Fig. 3).  Results are identical; the
-  /// ablation bench measures the work difference.
-  bool prebuild_arcs = true;
+  /// Build the arc matrices at construction and every reinit, over the
+  /// full initial domains, instead of on first use after unary
+  /// propagation.  Results are identical; bench_ablation_build_order
+  /// measures the work difference.
+  bool prebuild_arcs = false;
 };
 
 /// One elimination, attributed to the phase that caused it.  Consumed
@@ -125,9 +134,9 @@ class Network {
   /// Rebinds this network to a new sentence of the *same length* under
   /// the *same grammar*, reusing the whole arena in place (no
   /// allocation; the serve hot path relies on this).  Counters and the
-  /// trace hook are reset; if the arcs were built they are refilled
-  /// from the fresh domains.  Returns false (and leaves the network
-  /// untouched) when the sentence length differs.
+  /// trace hook are reset and the arcs dropped (rebuilt on first use,
+  /// or right away under prebuild_arcs).  Returns false (and leaves the
+  /// network untouched) when the sentence length differs.
   bool reinit(const Sentence& s);
 
   // ---- shape ----------------------------------------------------------
@@ -163,35 +172,37 @@ class Network {
 
   // ---- arcs --------------------------------------------------------------
   bool arcs_built() const { return arcs_built_; }
-  /// Initializes every arc matrix: bit (i,j) is 1 iff both role values
-  /// are currently alive.  Idempotent.
+  /// Builds every arc matrix over the compact axes of the currently
+  /// alive values: bit (i,j) is 1 iff both role values are alive.
+  /// Idempotent until the next reinit.
   void build_arcs();
 
-  /// Arc matrix for roles ra < rb (rows = ra's values, cols = rb's).
-  util::ConstBitMatrixView arc_matrix(int ra, int rb) const;
-
-  /// Mutable matrix access for parallel engines that partition work by
-  /// arc (each worker owns disjoint matrices).  Counter bookkeeping is
-  /// the caller's responsibility.
-  util::BitMatrixView arc_matrix_mut(int ra, int rb) {
-    return arena_.arc(ra, rb);
+  /// Compact axis of `role` (arcs built): the dense rv of each row or
+  /// column the role has in its arcs, ascending.
+  std::span<const std::int32_t> compact_axis(int role) const {
+    return arena_.axis(role);
   }
 
+  /// Arc matrix for roles ra < rb (arcs built): rows index
+  /// compact_axis(ra), columns compact_axis(rb).
+  util::ConstBitMatrixView arc_matrix(int ra, int rb) const;
+  std::size_t num_arcs() const { return arena_.num_arcs(); }
+
+  /// Whether role values (ra, rv_a) and (rb, rv_b) may coexist, on the
+  /// dense rv axis: before the arcs exist, iff both are alive; after,
+  /// the arc bit (false for a value that was dead when they were built).
   bool arc_allows(int ra, int rv_a, int rb, int rv_b) const;
+  /// Clears one pair's arc bit (building the arcs first if needed).
   void arc_forbid(int ra, int rv_a, int rb, int rv_b);
 
   // ---- alive cache -------------------------------------------------------
-  /// Rebuilds the per-role alive-value and binding lists from the
-  /// current domains into persistent scratch (no steady-state
-  /// allocation).  The spans below stay valid until the next refresh;
-  /// eliminations do not invalidate the memory, only the contents.
+  /// Rebuilds the per-role alive-value lists from the current domains
+  /// into persistent scratch (no steady-state allocation).  The spans
+  /// below stay valid until the next refresh; eliminations do not
+  /// invalidate the memory, only the contents.
   void refresh_alive_cache();
   std::span<const int> alive_list(int role) const {
     return {alive_flat_.data() + alive_off_[role],
-            alive_off_[role + 1] - alive_off_[role]};
-  }
-  std::span<const Binding> binding_list(int role) const {
-    return {bind_flat_.data() + alive_off_[role],
             alive_off_[role + 1] - alive_off_[role]};
   }
   /// Total alive values across all roles, per the last refresh.
@@ -204,7 +215,7 @@ class Network {
 
   /// Propagates one binary constraint over every pair of role values on
   /// every arc, in both variable assignments; returns bits zeroed.
-  /// Builds arcs first if they are lazy.
+  /// Builds the arcs first if they do not exist yet.
   int apply_binary(const CompiledConstraint& c);
 
   // ---- vectorized (masked) parsing operations ---------------------------
@@ -225,8 +236,20 @@ class Network {
 
   /// Builds (if stale) constraint `c`'s truth masks in slot group `slot`;
   /// hoisted evaluations are charged to counters().mask_build_evals.
-  /// Parallel engines call this up front, then read masks() per arc.
   void ensure_masks(const FactoredConstraint& c, std::size_t slot);
+
+  /// Everything the masked sweep of constraint `c` (slot group `slot`)
+  /// reads: the arcs, the constraint's masks, and those masks gathered
+  /// onto the compact axes.  Parallel engines call this once, serially,
+  /// and then sweep_arc() from any number of threads.
+  void prepare_binary(const FactoredConstraint& c, std::size_t slot);
+
+  /// Masked sweep of the constraint last prepared over arc `arc` (see
+  /// kernels::sweep_binary_masked); returns bits zeroed.  Writes only
+  /// that arc's words and charges only `mc`, so distinct arcs may be
+  /// swept concurrently; the caller does the counter bookkeeping.
+  int sweep_arc(const FactoredConstraint& c, std::size_t arc,
+                const kernels::MaskedCounters& mc, bool apply_residual = true);
 
   /// Mask spans of slot group `slot` for `role` (ensure_masks first).
   kernels::FactoredMasks masks(std::size_t slot, int role) const {
@@ -242,22 +265,22 @@ class Network {
 
   /// Removes several role values of ONE role: identical bookkeeping and
   /// end state to calling eliminate(role, rv) for each element in
-  /// order, but large batches clear their arc columns in one fused
-  /// ANDN pass per incident arc (kernels::zero_rows_cols) instead of
-  /// one strided pass per victim.  Clobbers the role's support-scratch
-  /// row.  Returns the number of values actually eliminated.
+  /// order, but each incident arc is cleared in one pass
+  /// (kernels::zero_rows_cols).  Returns the number of values actually
+  /// eliminated.
   int eliminate_batch(int role, std::span<const int> rvs);
 
-  /// True if some arc no longer supports (role, rv): an incident matrix
-  /// whose row/column for rv is all zeros (paper §1.4).
+  /// True unless some arc no longer supports (role, rv): an incident
+  /// matrix whose row/column for rv is all zeros (paper §1.4).  Builds
+  /// the arcs first if they do not exist yet.
   bool supported(int role, int rv);
 
   /// Word-parallel support sweep: fills the role's arena support-scratch
   /// row with the per-value support bits (kernels::support_mask) and
   /// returns a view of it.  out.test(rv) == supported(role, rv) for
-  /// every rv; support_checks is charged one per alive value, exactly
-  /// like the per-value path.  The span stays valid until the next
-  /// support_mask call for the same role.
+  /// every alive rv; support_checks is charged one per alive value,
+  /// exactly like the per-value path.  The span stays valid until the
+  /// next support_mask call for the same role.
   util::ConstBitSpan support_mask(int role);
 
   /// One consistency-maintenance sweep over all role values; returns the
@@ -273,16 +296,17 @@ class Network {
   /// Necessary acceptance condition: every role still has a candidate.
   bool all_roles_nonempty() const;
 
-  /// Structural self-check for tests: every eliminated role value must
-  /// have fully zeroed rows/columns in its incident arcs (equivalently,
-  /// arc bits exist only at alive×alive positions), and — when the
-  /// arena's AC-4 counters are valid — every counter must equal the
-  /// corresponding row/column support count.  Returns true when all
-  /// invariants hold.
+  /// Structural self-check for tests: every alive value lies on its
+  /// role's compact axis, every eliminated value has fully zeroed
+  /// rows/columns in its incident arcs (equivalently, arc bits exist
+  /// only at alive×alive positions), and no bit lies past a row's last
+  /// column.  Returns true when all invariants hold.
   bool check_invariants() const;
 
   // ---- stats ------------------------------------------------------------
   std::size_t total_alive() const;
+  /// Set arc bits; before the arcs exist, the alive×alive pairs they
+  /// would start with.
   std::size_t arc_ones() const;
   NetworkCounters& counters() { return counters_; }
   const NetworkCounters& counters() const { return counters_; }
@@ -299,14 +323,17 @@ class Network {
 
  private:
   void init_domains();
-  void fill_arcs();
 
   const Grammar* grammar_;
   Sentence sentence_;
   RvIndexer indexer_;
-  NetworkArena arena_;  // domains + arcs + counters + staging + masks
+  Options opt_;
+  NetworkArena arena_;  // domains + arcs + staging + masks
   kernels::MaskCache mask_cache_;
   bool arcs_built_ = false;
+  // Binary-constraint slot whose masks sit on the compact axes.
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+  std::size_t gathered_slot_ = kNoSlot;
   NetworkCounters counters_;
   TraceFn trace_;
   // Attribution context for trace events during apply_unary /
@@ -326,9 +353,9 @@ class Network {
   // Persistent scratch (capacity retained across reinit; the serve hot
   // path must not allocate per request).
   std::vector<int> victims_;             // per-role elimination staging
+  std::vector<int> cids_;                // victims' compact ids
   std::vector<int> alive_flat_;          // alive rvs, role-major
-  std::vector<Binding> bind_flat_;       // bindings, same indexing
-  std::vector<std::size_t> alive_off_;   // [R + 1] offsets into the above
+  std::vector<std::size_t> alive_off_;   // [R + 1] offsets into alive_flat_
 };
 
 }  // namespace parsec::cdg

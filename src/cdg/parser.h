@@ -23,9 +23,10 @@ namespace parsec::cdg {
 using CancelFn = std::function<bool()>;
 
 struct ParseOptions {
-  /// Build arc matrices before unary propagation (MasPar design
-  /// decision 1) rather than on first binary constraint.
-  bool prebuild_arcs = true;
+  /// Build the arc matrices before unary propagation, over the full
+  /// initial domains, rather than on first binary constraint (see
+  /// NetworkOptions::prebuild_arcs).
+  bool prebuild_arcs = false;
   /// Run one consistency sweep after each binary constraint (paper
   /// §1.4); turning this off defers all maintenance to filtering.
   bool consistency_after_each_binary = true;

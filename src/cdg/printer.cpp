@@ -55,14 +55,12 @@ std::string render_arc_matrix(const Network& net, int role_a, int role_b) {
     os << ' ' << col_names.back();
   }
   os << '\n';
-  const auto& m = net.arc_matrix(role_a, role_b);
   for (std::size_t i = 0; i < a_vals.size(); ++i) {
     os << row_names[i]
        << std::string(row_hdr_width - row_names[i].size(), ' ');
     for (std::size_t j = 0; j < b_vals.size(); ++j) {
-      const bool bit = m.test(
-          static_cast<std::size_t>(idx.encode(a_vals[i])),
-          static_cast<std::size_t>(idx.encode(b_vals[j])));
+      const bool bit = net.arc_allows(role_a, idx.encode(a_vals[i]), role_b,
+                                      idx.encode(b_vals[j]));
       os << ' ' << std::string(col_names[j].size() - 1, ' ')
          << (bit ? '1' : '0');
     }
@@ -74,8 +72,8 @@ std::string render_arc_matrix(const Network& net, int role_a, int role_b) {
 std::string render_summary(const Network& net) {
   std::ostringstream os;
   os << "n=" << net.n() << " roles=" << net.num_roles()
-     << " D=" << net.domain_size() << " alive=" << net.total_alive();
-  if (net.arcs_built()) os << " arc_ones=" << net.arc_ones();
+     << " D=" << net.domain_size() << " alive=" << net.total_alive()
+     << " arc_ones=" << net.arc_ones();
   return os.str();
 }
 

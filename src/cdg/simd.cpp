@@ -42,7 +42,7 @@ void sweep_row_scalar(Word* row, const Word* ax, const Word* ay,
     // known violated iff the antecedent is proven and a consequent part
     // fails.  Direction 2 mirrors with the sides swapped.  The
     // branchless form folds the row-side booleans into the broadcast
-    // constants (kernels.cpp::sweep_row_consts), leaving a fixed
+    // constants (BatchParser::sweep_constraint), leaving a fixed
     // 8-term expression per word — the ACU-broadcast shape.
     const Word t1 = ~ayw | c.nax[b] | (cyw & c.t1c[b]);
     const Word f1 = c.f1[b] & ayw & (~cyw | c.ncx[b]);

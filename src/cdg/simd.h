@@ -1,19 +1,22 @@
-// Runtime-dispatched SIMD word kernels for the filtering sweeps.
+// Runtime-dispatched SIMD word kernels for the batched filtering sweeps.
 //
-// The masked binary sweep (cdg/kernels.h) is Boolean matrix work: per
-// arc row it evaluates eight AND/ANDN/OR terms over the partner-side
-// truth-mask words and folds the results into kill/keep/undecided
-// words.  That inner loop is the host-side counterpart of the MasPar
-// ACU broadcasting one instruction to every PE (paper §2.1): the same
-// eight-term expression applied to every 64-bit word of the row.  This
-// header widens it explicitly — AVX2 (4 words per op) and AVX-512 (8
-// words per op, native vpopcntdq) variants behind a CPUID-resolved
-// dispatch table, with a portable scalar fallback that is the reference
-// semantics.  All tiers compute bit-identical results and bit-identical
-// counter totals (the per-word algebra is associative-free: each word's
-// outputs depend only on that word's inputs), so the dispatch tier is
-// a pure throughput knob — tested by forcing every tier over the same
-// corpus.
+// The masked binary sweep is Boolean matrix work: per arc row it
+// evaluates eight AND/ANDN/OR terms over the partner-side truth-mask
+// words and folds the results into kill/keep/undecided words.  A
+// single sentence's compact arc rows are one or two words wide, so
+// cdg/kernels.cpp runs that expression scalar, without a dispatch; the
+// SoA batch (cdg/batch.h), whose rows interleave eight sentences, runs
+// it through this table.  That inner loop is the host-side counterpart
+// of the MasPar ACU broadcasting one instruction to every PE (paper
+// §2.1): the same eight-term expression applied to every 64-bit word of
+// the row.  This header widens it explicitly — AVX2 (4 words per op)
+// and AVX-512 (8 words per op, native vpopcntdq) variants behind a
+// CPUID-resolved dispatch table, with a portable scalar fallback that
+// is the reference semantics.  All tiers compute bit-identical results
+// and bit-identical counter totals (the per-word algebra is
+// associative-free: each word's outputs depend only on that word's
+// inputs), so the dispatch tier is a pure throughput knob — tested by
+// forcing every tier over the same corpus.
 //
 // Lanes: every kernel takes a `lanes` period (1 or kMaxLanes).  With
 // lanes == 1 the broadcast constants are single words and the data is
@@ -29,10 +32,6 @@
 // CPUID-detected tier, and force_tier()/ScopedTier override both for
 // tests and the ISA-ablation bench.  Requests above the detected tier
 // clamp down — forcing "avx512" on an AVX2 host runs AVX2.
-//
-// (Unrelated to the PARSEC_SIMD *macro* in cdg/kernels.h, which is an
-// `omp simd` pragma shorthand for the remaining autovectorized loops;
-// the environment variable governs this dispatch table.)
 #pragma once
 
 #include <cstddef>
@@ -82,7 +81,8 @@ inline constexpr std::size_t kMaxLanes = 8;
 /// all-ones or all-zero; word index t of the row uses constant word
 /// t % lanes.  Derivation from the row's hoisted-mask bits (ax, ay,
 /// cx, cy) and the constraint's residual flags: see
-/// kernels.cpp::sweep_row_consts.
+/// BatchParser::sweep_constraint (and the scalar form in
+/// kernels::sweep_binary_masked).
 struct SweepConsts {
   const Word* nax;  // ~0 when the row fails ante_x (direction 1 vacuous)
   const Word* t1c;  // ~0 when cons_x holds with no consequent residual

@@ -264,36 +264,11 @@ BackendRun run_backend_impl(const EngineSet& engines, Backend b,
 
   switch (b) {
     case Backend::Serial: {
-      if (engines.options().serial_ac4) {
-        // Propagate with cancel polls, then AC-4 filtering to the
-        // fixpoint (same fixpoint as sweep filtering; confluent).
-        const auto& p = engines.serial();
-        bool aborted = false;
-        for (std::size_t i = 0; i < p.compiled_unary().size(); ++i) {
-          if (cancel && cancel()) {
-            aborted = true;
-            break;
-          }
-          p.step_unary(net, i);
-        }
-        for (std::size_t i = 0; !aborted && i < p.compiled_binary().size();
-             ++i) {
-          if (cancel && cancel()) {
-            aborted = true;
-            break;
-          }
-          p.step_binary(net, i);
-        }
-        if (!aborted) cdg::filter_ac4(net);
-        run.cancelled = aborted;
-        run.accepted = !aborted && net.all_roles_nonempty();
-      } else {
-        cdg::ParseResult r = engines.serial().parse(net, cancel);
-        run.cancelled = r.cancelled;
-        run.accepted = r.accepted;
-        run.stats.consistency_iterations +=
-            static_cast<std::uint64_t>(r.filter_sweeps_used);
-      }
+      cdg::ParseResult r = engines.serial().parse(net, cancel);
+      run.cancelled = r.cancelled;
+      run.accepted = r.accepted;
+      run.stats.consistency_iterations +=
+          static_cast<std::uint64_t>(r.filter_sweeps_used);
       break;
     }
     case Backend::Omp: {

@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cdg/ac4.h"
 #include "cdg/batch.h"
 #include "cdg/network.h"
 #include "cdg/parser.h"
@@ -124,10 +123,6 @@ struct EngineSetOptions {
     maspar.filter_iterations = -1;
   }
   cdg::ParseOptions serial;
-  /// Serial backend filters with AC-4 support counters instead of
-  /// sweep-to-fixpoint (same fixpoint; O(n^4) total instead of per
-  /// sweep; the counters live in the network's arena).
-  bool serial_ac4 = false;
   OmpOptions omp;
   PramOptions pram;
   MasparOptions maspar;
@@ -186,7 +181,7 @@ std::uint64_t hash_domains(const cdg::Network& net);
 std::uint64_t hash_sentence(const cdg::Sentence& s);
 
 /// Parses `s` on backend `b`.  `scratch` (if non-null) supplies the
-/// reusable network pool (networks + arenas + AC-4 counter storage);
+/// reusable network pool (networks + arenas);
 /// `cancel` (if non-empty) aborts — every backend polls it at its
 /// engine checkpoints (before each constraint and each filtering
 /// sweep), so a fired deadline stops work within one fixpoint sweep.

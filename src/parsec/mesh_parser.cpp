@@ -92,7 +92,6 @@ TopoResult TopologyParser::parse(Network& net,
   // CN construction: one elementwise pass over role values + arcs.
   charge_elem(R * D);
   charge_elem(arc_elems);
-  net.build_arcs();
 
   const int Di = net.domain_size();
   auto flags = net.arena().rv_flags();
@@ -141,24 +140,16 @@ TopoResult TopologyParser::parse(Network& net,
         break;
       }
       charge_elem(arc_elems);
-      net.ensure_masks(c, ci);
-      // Tile accounting only: mesh cost stays with charge_elem, but the
-      // host-side SIMD tile sweeps are pinned per backend by the gate.
+      net.prepare_binary(c, ci);
+      // Sweep accounting only: mesh cost stays with charge_elem, but the
+      // host-side sweeps are pinned per backend by the gate.
       cdg::kernels::MaskedCounters mc;
       mc.tile_sweeps = &net.counters().tile_sweeps;
       mc.lane_words = &net.counters().simd_lane_words;
       std::size_t zeroed = 0;
-      for (int a = 0; a < net.num_roles(); ++a) {
-        const cdg::kernels::FactoredMasks ma = net.masks(ci, a);
-        for (int b = a + 1; b < net.num_roles(); ++b) {
-          zeroed += static_cast<std::size_t>(cdg::kernels::sweep_binary_masked(
-              c, net.sentence(), net.arena().arc(a, b), net.domain(a), ma,
-              net.role_id_of(a), net.word_of_role(a), net.masks(ci, b),
-              net.role_id_of(b), net.word_of_role(b), net.indexer(), mc));
-        }
-      }
+      for (std::size_t t = 0; t < net.num_arcs(); ++t)
+        zeroed += static_cast<std::size_t>(net.sweep_arc(c, t, mc));
       net.counters().arc_zeroings += zeroed;
-      if (zeroed) net.arena().set_counts_valid(false);
     }
     span.arg("time_steps", r.time_steps - steps_before);
   }

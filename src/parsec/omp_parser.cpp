@@ -47,14 +47,12 @@ void OmpParser::apply_unary(Network& net, const FactoredConstraint& c) const {
 
 void OmpParser::apply_binary(Network& net, const FactoredConstraint& c,
                              std::size_t slot) const {
-  net.build_arcs();
-  // Mask build is serial (it writes the shared mask region once);
-  // the sweeps that consume the masks are read-only on them.
-  net.ensure_masks(c, slot);
-  cdg::NetworkArena& arena = net.arena();
+  // Arc build, mask build and gather are serial (they write shared
+  // regions once); the sweeps that consume them are read-only on them.
+  net.prepare_binary(c, slot);
   // Partition by arc: each worker owns whole matrices, so writes never
   // race.
-  const std::size_t A = arena.num_arcs();
+  const std::size_t A = net.num_arcs();
   std::size_t zeroed_total = 0;
   // Tile accounting rides the existing reduction (this engine otherwise
   // reports work through wall-clock, not eval counts): each worker
@@ -66,22 +64,17 @@ void OmpParser::apply_binary(Network& net, const FactoredConstraint& c,
     reduction(+ : zeroed_total, tiles_total, lanes_total)
 #endif
   for (std::size_t t = 0; t < A; ++t) {
-    const auto [a, b] = arena.arc_pair(t);
     cdg::kernels::MaskedCounters mc;
     std::size_t tiles = 0, lanes = 0;
     mc.tile_sweeps = &tiles;
     mc.lane_words = &lanes;
-    zeroed_total += static_cast<std::size_t>(cdg::kernels::sweep_binary_masked(
-        c, net.sentence(), arena.arc(t), net.domain(a), net.masks(slot, a),
-        net.role_id_of(a), net.word_of_role(a), net.masks(slot, b),
-        net.role_id_of(b), net.word_of_role(b), net.indexer(), mc));
+    zeroed_total += static_cast<std::size_t>(net.sweep_arc(c, t, mc));
     tiles_total += tiles;
     lanes_total += lanes;
   }
   net.counters().tile_sweeps += tiles_total;
   net.counters().simd_lane_words += lanes_total;
   net.counters().arc_zeroings += zeroed_total;
-  if (zeroed_total) arena.set_counts_valid(false);
 }
 
 int OmpParser::consistency_sweep(Network& net) const {
@@ -126,7 +119,6 @@ OmpResult OmpParser::parse(Network& net, const cdg::CancelFn& cancel) const {
   if (opt_.threads > 0) omp_set_num_threads(opt_.threads);
 #endif
   OmpResult r;
-  net.build_arcs();
   {
     obs::Span span("omp.unary");
     for (const auto& c : unary_) {

@@ -58,7 +58,6 @@ void PramParser::apply_unary_parallel(Network& net, pram::Machine& m,
 void PramParser::apply_binary_parallel(Network& net, pram::Machine& m,
                                        const FactoredConstraint& c,
                                        std::size_t slot) const {
-  net.build_arcs();
   // One parallel step, one processor per arc element (pair of alive
   // role values on an arc): O(n^4) processors.
   net.refresh_alive_cache();
@@ -72,27 +71,18 @@ void PramParser::apply_binary_parallel(Network& net, pram::Machine& m,
   // The actual evaluation (performed host-side through the masked
   // sweep, but each pair decided independently, exactly as the step
   // models).
-  net.ensure_masks(c, slot);
-  cdg::NetworkArena& arena = net.arena();
-  // Tile accounting only: the VM/masked-pair charges stay with the step
-  // model's processor counts (the PRAM cost story), but the host-side
-  // tile sweeps are real work the SIMD layer performed and the perf
-  // gate pins them per backend.
+  net.prepare_binary(c, slot);
+  // Sweep accounting only: the VM/masked-pair charges stay with the
+  // step model's processor counts (the PRAM cost story), but the
+  // host-side sweeps are real work and the perf gate pins them per
+  // backend.
   cdg::kernels::MaskedCounters mc;
   mc.tile_sweeps = &net.counters().tile_sweeps;
   mc.lane_words = &net.counters().simd_lane_words;
   std::size_t zeroed = 0;
-  for (int a = 0; a < R; ++a) {
-    const cdg::kernels::FactoredMasks ma = net.masks(slot, a);
-    for (int b = a + 1; b < R; ++b) {
-      zeroed += static_cast<std::size_t>(cdg::kernels::sweep_binary_masked(
-          c, net.sentence(), arena.arc(a, b), net.domain(a), ma,
-          net.role_id_of(a), net.word_of_role(a), net.masks(slot, b),
-          net.role_id_of(b), net.word_of_role(b), net.indexer(), mc));
-    }
-  }
+  for (std::size_t t = 0; t < net.num_arcs(); ++t)
+    zeroed += static_cast<std::size_t>(net.sweep_arc(c, t, mc));
   net.counters().arc_zeroings += zeroed;
-  if (zeroed) arena.set_counts_valid(false);
 }
 
 int PramParser::parallel_consistency_step(Network& net,
@@ -138,7 +128,6 @@ PramResult PramParser::parse(Network& net, const cdg::CancelFn& cancel) const {
   m.for_all(static_cast<std::size_t>(net.num_roles()) *
                 static_cast<std::size_t>(net.domain_size()),
             [](std::size_t) {});
-  net.build_arcs();
 
   PramResult r;
   {

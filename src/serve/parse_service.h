@@ -19,8 +19,8 @@
 //   * per-tenant admission quotas (GrammarBundle::max_inflight) mapped
 //     onto the Overloaded status;
 //   * per-worker reusable scratch (arena-backed constraint-network
-//     pools via Network::reinit; the arena carries domains, arcs, AC-4
-//     counters and elimination staging in one allocation) so
+//     pools via Network::reinit; the arena carries domains, arcs,
+//     truth masks and elimination staging in one allocation) so
 //     steady-state parsing of repeating sentence shapes is
 //     allocation-free on the hot path;
 //   * per-request deadlines — an expired request returns a Timeout
@@ -332,7 +332,7 @@ class ParseService {
  private:
   /// Per-worker mutable state; only worker i touches scratch_[i].  The
   /// pooled networks carry their whole arenas (domains, arc matrices,
-  /// AC-4 counters, elimination staging) — one allocation per shape,
+  /// truth masks, elimination staging) — one allocation per shape,
   /// reused across requests.  `pinned` keeps every snapshot with live
   /// pooled networks alive (a pooled network references its grammar);
   /// when a request arrives under a newer epoch of a tenant, the

@@ -20,6 +20,7 @@
 
 #include "analyze/span_graph.h"
 #include "analyze/trace_reader.h"
+#include "cdg/ac4.h"
 #include "cdg/extract.h"
 #include "cdg/parser.h"
 #include "grammars/toy_grammar.h"
@@ -60,15 +61,14 @@ std::string traced_run_json(std::size_t* span_count) {
     }
   }  // service joins its workers: their span buffers are quiescent
 
-  engine::EngineSetOptions eopt;
-  eopt.serial_ac4 = true;
-  engine::EngineSet engines(bundle.grammar, eopt);
+  engine::EngineSet engines(bundle.grammar);
   engine::run_backend(engines, engine::Backend::Serial, sentence);
   engine::run_backend(engines, engine::Backend::Maspar, sentence);
 
   cdg::SequentialParser seq(bundle.grammar);
   cdg::Network net = seq.make_network(sentence);
   seq.parse(net);
+  cdg::filter_ac4(net);
   cdg::extract_parses(net, 8);
 
   *span_count = session.span_count();

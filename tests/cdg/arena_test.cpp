@@ -1,5 +1,6 @@
-// NetworkArena layout and reuse: one allocation, offsets that are pure
-// functions of the shape, O(1) same-shape reinit (paper §2.2.1's
+// NetworkArena layout and reuse: one allocation, region sizes that are
+// pure functions of the shape, compact arcs laid out over the values
+// alive at compact(), O(1) same-shape reinit (paper §2.2.1's
 // fixed-offset PE-array layout, hosted).
 #include <gtest/gtest.h>
 
@@ -21,17 +22,56 @@ TEST(NetworkArena, ShapeAndRegionSizes) {
   EXPECT_EQ(a.roles(), 6);
   EXPECT_EQ(a.domain_size(), 70);
   EXPECT_EQ(a.row_words(), 2u);
-  // Domain rows pad to a whole cache line; arc rows keep the natural
-  // stride.
+  // Domain rows pad to a whole cache line.
   EXPECT_EQ(a.aligned_row_words(), NetworkArena::kAlignWords);
   EXPECT_EQ(a.num_arcs(), 15u);  // 6*5/2
   EXPECT_EQ(a.domains_bytes(),
             6u * NetworkArena::kAlignWords * sizeof(NetworkArena::Word));
+  // No axis capacities given: every role may hold all D values, so each
+  // compact arc can grow to D rows of ceil(D / 64) words.
+  EXPECT_EQ(a.axis_capacity(0), 70);
   EXPECT_EQ(a.arcs_bytes(), 15u * 70 * 2 * sizeof(NetworkArena::Word));
-  EXPECT_EQ(a.counts_bytes(), 6u * 70 * 6 * sizeof(std::int32_t));
-  EXPECT_GE(a.bytes(), a.domains_bytes() + a.arcs_bytes() + a.counts_bytes());
+  EXPECT_GE(a.bytes(), a.domains_bytes() + a.arcs_bytes());
   EXPECT_EQ(a.allocations(), 1u);
   EXPECT_EQ(a.reinits(), 0u);
+}
+
+TEST(NetworkArena, AxisCapacitiesSizeTheCompactRegion) {
+  // Capacities 3, 70, 130: arc (a, b) reserves cap_a rows of
+  // ceil(cap_b / 64) words.
+  const int caps[] = {3, 70, 130};
+  NetworkArena a(3, 140, 0, caps);
+  EXPECT_EQ(a.axis_capacity(2), 130);
+  EXPECT_EQ(a.arcs_bytes(),
+            (3u * 2 + 3u * 3 + 70u * 3) * sizeof(NetworkArena::Word));
+}
+
+TEST(NetworkArena, CompactAxesFollowTheAliveValues) {
+  NetworkArena a(3, 100);
+  const int alive[3][3] = {{2, 40, 99}, {0, 65, -1}, {-1, -1, -1}};
+  for (int r = 0; r < 3; ++r) {
+    a.domain(r).reset_all();
+    for (int rv : alive[r])
+      if (rv >= 0) a.domain(r).set(static_cast<std::size_t>(rv));
+  }
+  a.compact();
+  ASSERT_TRUE(a.compacted());
+  EXPECT_EQ(a.axis(0).size(), 3u);
+  EXPECT_EQ(a.axis(0)[1], 40);
+  EXPECT_EQ(a.axis(1).size(), 2u);
+  EXPECT_TRUE(a.axis(2).empty());
+  EXPECT_EQ(a.compact_id(0, 99), 2);
+  EXPECT_EQ(a.compact_id(1, 65), 1);
+  EXPECT_EQ(a.compact_id(1, 64), -1);
+  // Arcs start all ones over alive x alive; an empty side has no bits.
+  EXPECT_EQ(a.arc(0, 1).rows(), 3u);
+  EXPECT_EQ(a.arc(0, 1).cols(), 2u);
+  EXPECT_EQ(a.arc(0, 1).count(), 6u);
+  EXPECT_EQ(a.arc(0, 2).count(), 0u);
+  EXPECT_EQ(a.arc(1, 2).rows(), 2u);
+  EXPECT_EQ(a.arc(1, 2).count(), 0u);
+  a.reinit();
+  EXPECT_FALSE(a.compacted());
 }
 
 TEST(NetworkArena, AlignedRowsStartOnCacheLines) {
@@ -66,7 +106,9 @@ TEST(NetworkArena, ArcIndexIsRowMajorUpperTriangleBijection) {
 }
 
 TEST(NetworkArena, SpansAndViewsAddressDisjointStorage) {
-  NetworkArena a(4, 10);
+  NetworkArena a(4, 10, /*mask_slots=*/2);
+  for (int r = 0; r < 4; ++r) a.domain(r).set_all();
+  a.compact();
   // Write a distinct pattern through every accessor, then read it all
   // back: no region may alias another.
   for (int r = 0; r < 4; ++r) {
@@ -79,22 +121,31 @@ TEST(NetworkArena, SpansAndViewsAddressDisjointStorage) {
     m.reset_all();
     m.set(t % 10, (t + 1) % 10);
   }
-  for (auto& c : a.support_counts()) c = 7;
   for (auto& f : a.rv_flags()) f = 3;
-  for (auto& q : a.queue_storage()) q = -2;
+  for (int r = 0; r < 4; ++r) {
+    for (std::size_t s = 0; s < a.mask_slots(); ++s) a.mask(s, r).set_all();
+    a.support_scratch(r).reset_all();
+    for (int p = 0; p < NetworkArena::kMaskParts; ++p)
+      a.compact_mask(p, r).set_all();
+    a.compact_scratch(r).reset_all();
+  }
 
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(a.domain(r).count(), 1u);
     EXPECT_TRUE(a.domain(r).test(static_cast<std::size_t>(r)));
+    EXPECT_EQ(a.axis(r).size(), 10u);  // the axis outlives domain writes
+    for (std::size_t s = 0; s < a.mask_slots(); ++s)
+      EXPECT_EQ(a.mask(s, r).count(), 10u);
+    EXPECT_EQ(a.support_scratch(r).count(), 0u);
+    for (int p = 0; p < NetworkArena::kMaskParts; ++p)
+      EXPECT_EQ(a.compact_mask(p, r).count(), 10u);
+    EXPECT_EQ(a.compact_scratch(r).count(), 0u);
   }
   for (std::size_t t = 0; t < a.num_arcs(); ++t) {
     EXPECT_EQ(a.arc(t).count(), 1u) << "arc " << t;
     EXPECT_TRUE(a.arc(t).test(t % 10, (t + 1) % 10));
   }
-  for (auto c : a.support_counts()) EXPECT_EQ(c, 7);
   for (auto f : a.rv_flags()) EXPECT_EQ(f, 3);
-  for (auto q : a.queue_storage()) EXPECT_EQ(q, -2);
-  EXPECT_EQ(a.support_count(2, 5, 1), 7);
 }
 
 TEST(NetworkArena, ReinitKeepsAllocationAndPointers) {
@@ -108,7 +159,7 @@ TEST(NetworkArena, ReinitKeepsAllocationAndPointers) {
   EXPECT_EQ(a.allocations(), 1u);  // no realloc
   EXPECT_EQ(a.bytes(), bytes);
   EXPECT_EQ(a.domain(0).words(), dom0);  // storage stable
-  EXPECT_FALSE(a.counts_valid());        // counters invalidated
+  EXPECT_FALSE(a.compacted());           // axes dropped
 }
 
 TEST(NetworkArena, SameShapeReshapeDoesNotReallocate) {
@@ -124,15 +175,6 @@ TEST(NetworkArena, SameShapeReshapeDoesNotReallocate) {
   // Growing past capacity reallocates exactly once.
   a.reshape(8, 20);
   EXPECT_EQ(a.allocations(), 2u);
-}
-
-TEST(NetworkArena, CountsValidFlagGatesOnMutation) {
-  NetworkArena a(3, 6);
-  EXPECT_FALSE(a.counts_valid());
-  a.set_counts_valid(true);
-  EXPECT_TRUE(a.counts_valid());
-  a.reinit();
-  EXPECT_FALSE(a.counts_valid());
 }
 
 // ---------------------------------------------------------------------

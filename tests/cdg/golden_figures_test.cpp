@@ -94,18 +94,6 @@ TEST_F(GoldenFigures, Figure1_InitialNetwork) {
 }
 
 // --------------------------------------------------------------------
-// Figure 9 (design decision 1): with arcs prebuilt before unary
-// propagation, the governor-governor matrix spans all 9 x 9 role values
-// and is entirely ones.
-// --------------------------------------------------------------------
-TEST_F(GoldenFigures, Figure9_PrebuiltArcMatrixAllOnes) {
-  const auto& m =
-      net_.arc_matrix(role_of(1, "governor"), role_of(2, "governor"));
-  EXPECT_EQ(m.count(), 81u);
-  EXPECT_TRUE(arc_bit(1, "governor", "SUBJ-2", 2, "governor", "ROOT-nil"));
-}
-
-// --------------------------------------------------------------------
 // Figure 2: after the first unary constraint (verbs are ungoverned
 // ROOTs) only ROOT-nil survives in the governor role of "runs"; all
 // other roles are untouched.

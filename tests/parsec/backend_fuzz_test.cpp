@@ -1,13 +1,15 @@
 // Randomized cross-backend fuzz over the unified run_backend entry:
-// every backend (serial sweep, serial AC-4, OpenMP, P-RAM, MasPar) must
-// produce the identical domains_hash fingerprint for the same sentence,
-// and pooled-arena reuse (NetworkScratch) must not change a single bit.
+// every backend (serial, OpenMP, P-RAM, MasPar, mesh) and AC-4
+// filtering must produce the identical domains_hash fingerprint for the
+// same sentence, and pooled-arena reuse (NetworkScratch) must not
+// change a single bit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "cdg/ac4.h"
 #include "grammars/english_grammar.h"
 #include "grammars/sentence_gen.h"
 #include "grammars/toy_grammar.h"
@@ -28,13 +30,24 @@ std::vector<std::string> random_words(util::Rng& rng, int n) {
 
 class BackendFuzz : public ::testing::TestWithParam<int> {};
 
+/// Propagation without per-constraint maintenance, then AC-4 support
+/// counting to the fixpoint, on a pooled network.
+std::uint64_t ac4_hash(const cdg::SequentialParser& p,
+                       engine::NetworkScratch& scratch,
+                       const cdg::Sentence& s) {
+  cdg::Network& net = scratch.acquire(p.grammar(), s);
+  for (std::size_t i = 0; i < p.compiled_unary().size(); ++i)
+    p.step_unary(net, i);
+  for (std::size_t i = 0; i < p.compiled_binary().size(); ++i)
+    p.step_binary(net, i);
+  cdg::filter_ac4(net);
+  return engine::hash_domains(net);
+}
+
 // 5 seeds x 10 sentences = 50 random word strings (grammatical or not).
 TEST_P(BackendFuzz, AllBackendsHashIdenticalOnToySentences) {
   auto bundle = grammars::make_toy_grammar();
   engine::EngineSet engines(bundle.grammar);
-  engine::EngineSetOptions ac4_opt;
-  ac4_opt.serial_ac4 = true;
-  engine::EngineSet ac4_engines(bundle.grammar, ac4_opt);
   engine::NetworkScratch scratch;  // shared pool: exercises arena reuse
 
   util::Rng rng(910 + GetParam());
@@ -56,9 +69,8 @@ TEST_P(BackendFuzz, AllBackendsHashIdenticalOnToySentences) {
           << label << "backend " << engine::to_string(b);
     }
     // AC-4 filtering reaches the same fixpoint (confluence).
-    const engine::BackendRun ac4 = engine::run_backend(
-        ac4_engines, engine::Backend::Serial, s, &scratch);
-    EXPECT_EQ(ac4.domains_hash, ref.domains_hash) << label << "serial_ac4";
+    EXPECT_EQ(ac4_hash(engines.serial(), scratch, s), ref.domains_hash)
+        << label << "ac4";
   }
 }
 
@@ -170,19 +182,20 @@ TEST(BackendFuzz, MaskedAndPlainSerialBitIdenticalOnFuzzCorpus) {
   }
 }
 
-// AC-4 leaves its support counters valid at the fixpoint; the invariant
-// checker cross-checks them against the arc matrices only in that state.
+// AC-4 leaves its support counters equal to the live supports on the
+// compact arcs at the fixpoint, and the network structurally sound.
 TEST(BackendFuzz, Ac4CountersMatchMatricesAtFixpoint) {
   auto bundle = grammars::make_toy_grammar();
   cdg::SequentialParser parser(bundle.grammar);
+  cdg::Ac4Scratch scratch;  // reused across sentences
   for (const char* text : {"The program runs", "a dog halts",
                            "The compiler crashes", "dog runs The"}) {
     cdg::Sentence s = bundle.tag(text);
     cdg::Network net = parser.make_network(s);
     parser.run_unary(net);
     parser.run_binary(net);
-    cdg::filter_ac4(net);
-    EXPECT_TRUE(net.arena().counts_valid()) << text;
+    cdg::filter_ac4(net, scratch);
+    EXPECT_TRUE(scratch.counts_match(net)) << text;
     EXPECT_TRUE(net.check_invariants()) << text;
   }
 }

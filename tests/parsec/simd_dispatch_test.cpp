@@ -1,10 +1,10 @@
 // Cross-tier and cross-kernel identity for the runtime-dispatched SIMD
 // sweep layer (cdg/simd.h): every ISA tier (scalar / AVX2 / AVX-512,
-// clamped to what the host supports), every tile size, the per-pair VM
-// path and the SoA batch parser must all reach the same fixpoint bit
-// for bit — the dispatch tier and the batching are pure throughput
-// knobs.  This is the test-side half of the CI forced-scalar leg and
-// the bench ISA ablation.
+// clamped to what the host supports), the per-pair VM path and the SoA
+// batch parser must all reach the same fixpoint bit for bit — the
+// dispatch tier and the batching are pure throughput knobs.  This is
+// the test-side half of the CI forced-scalar leg and the bench ISA
+// ablation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cdg/batch.h"
-#include "cdg/kernels.h"
 #include "cdg/simd.h"
 #include "grammars/english_grammar.h"
 #include "grammars/sentence_gen.h"
@@ -54,12 +53,6 @@ std::vector<Case> fuzz_corpus(const grammars::CdgBundle& toy,
     corpus.push_back({false, gen.generate_sentence(3 + i % 9)});
   return corpus;
 }
-
-// Restores the process-wide sweep tiling on scope exit.
-struct TilingGuard {
-  cdg::kernels::SweepTiling saved = cdg::kernels::sweep_tiling();
-  ~TilingGuard() { cdg::kernels::set_sweep_tiling(saved); }
-};
 
 // Every dispatch tier must produce the reference fixpoint AND the
 // reference cost-counter totals on every backend: the per-word sweep
@@ -130,50 +123,6 @@ TEST(SimdDispatch, ForcedTierClampsAndScalarAlwaysWins) {
   }
   EXPECT_LE(static_cast<int>(cdg::simd::active_tier()),
             static_cast<int>(cdg::simd::detected_tier()));
-}
-
-// The tile size (rows staged per vector phase) must not change the
-// fixpoint: residual verdicts depend only on (sentence, i, j), never on
-// which tile surfaced the pair.  lane-word totals are tile-independent
-// too; tile_sweeps itself scales with the tile size, so it is only
-// pinned under the default tiling.
-TEST(SimdDispatch, TileSizeDoesNotChangeFixpointOrLaneWords) {
-  auto english = grammars::make_english_grammar();
-  grammars::SentenceGenerator gen(english, 777);
-  engine::EngineSet engines(english.grammar);
-  engine::NetworkScratch scratch;
-  std::vector<cdg::Sentence> ws;
-  for (int n : {3, 5, 8, 11}) ws.push_back(gen.generate_sentence(n));
-
-  TilingGuard guard;
-  std::vector<std::uint64_t> ref_hash, ref_lane_words;
-  for (std::size_t rows : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                           std::size_t{64}}) {
-    cdg::kernels::set_sweep_tiling({rows});
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      const engine::BackendRun run = engine::run_backend(
-          engines, engine::Backend::Serial, ws[i], &scratch);
-      if (ref_hash.size() <= i) {
-        ref_hash.push_back(run.domains_hash);
-        ref_lane_words.push_back(run.stats.network.simd_lane_words);
-      } else {
-        EXPECT_EQ(run.domains_hash, ref_hash[i])
-            << "rows=" << rows << " sentence " << i;
-        EXPECT_EQ(run.stats.network.simd_lane_words, ref_lane_words[i])
-            << "rows=" << rows << " sentence " << i;
-      }
-    }
-  }
-}
-
-// set_sweep_tiling clamps out-of-range requests instead of letting a
-// zero-row tile wedge the sweep loop.
-TEST(SimdDispatch, SweepTilingClampsToValidRange) {
-  TilingGuard guard;
-  cdg::kernels::set_sweep_tiling({0});
-  EXPECT_EQ(cdg::kernels::sweep_tiling().rows, 1u);
-  cdg::kernels::set_sweep_tiling({100000});
-  EXPECT_EQ(cdg::kernels::sweep_tiling().rows, cdg::kernels::kMaxSweepTileRows);
 }
 
 // SoA batch parsing: every lane of every batch shape (full, partial,

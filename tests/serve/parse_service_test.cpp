@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cdg/ac4.h"
 #include "cdg/parser.h"
 #include "grammars/english_grammar.h"
 #include "obs/metrics.h"
@@ -112,17 +113,22 @@ TEST(ParseService, BatchedParsesByteMatchSingleThreadedOnEveryBackend) {
   }
 }
 
+// AC-4 filtering (propagation without per-constraint maintenance, then
+// support counting) reaches the fixpoint the service's serial path
+// returns.
 TEST(ParseService, SerialAc4PathReachesTheSameFixpoint) {
   auto bundle = grammars::make_toy_grammar();
-  cdg::SequentialParser seq(bundle.grammar);
+  cdg::ParseOptions deferred;
+  deferred.consistency_after_each_binary = false;
+  deferred.filter_sweeps = 0;
+  cdg::SequentialParser seq(bundle.grammar, deferred);
   cdg::Network net = seq.make_network(bundle.tag("The program runs"));
   seq.parse(net);
+  cdg::filter_ac4(net);
   std::vector<util::DynBitset> reference;
   for (int r = 0; r < net.num_roles(); ++r) reference.emplace_back(net.domain(r));
 
-  ParseService::Options opt = small_service(2);
-  opt.engines.serial_ac4 = true;
-  ParseService service(bundle.grammar, opt);
+  ParseService service(bundle.grammar, small_service(2));
   ParseRequest req;
   req.sentence = bundle.tag("The program runs");
   req.capture_domains = true;
