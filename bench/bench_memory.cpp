@@ -1,8 +1,9 @@
 // Memory accounting: per-PE state vs the MP-1's 16 KB local memory
-// (§2.2), the arena-backed host CN's O(n^4) footprint and region
-// breakdown, and allocation behaviour of the pooled steady state (cold
-// first parse allocates the arena once; warm same-shape parses must be
-// allocation-free).  Writes BENCH_memory.json.
+// (§2.2), the arena-backed host CN's footprint and region breakdown after
+// one cold parse per length (n = 4..24, and 32, 64 and 128 beyond the
+// pair region's 1 MB floor), and allocation behaviour of the pooled
+// steady state (cold first parse allocates the arena once; warm
+// same-shape parses must be allocation-free).  Writes BENCH_memory.json.
 //
 // Usage: bench_memory [--json PATH]
 #include <atomic>
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "bench_common.h"
@@ -61,13 +63,20 @@ int main(int argc, char** argv) {
     int n;
     int vpes;
     std::size_t pe_bytes;
-    std::size_t arena_bytes, domains_bytes, arcs_bytes, masks_bytes;
+    std::size_t arena_bytes, domains_bytes, pairs_bytes, masks_bytes;
+    std::size_t pair_values;
+    double construct_ms, parse_ms;
   };
   std::vector<Row> rows;
+  const cdg::SequentialParser serial(bundle.grammar);
   util::Table t({"n", "virtual PEs", "PE-local bytes", "fits 16KB",
-                 "arena bytes", "arcs", "masks", "arena / n^4"});
-  for (int n : {4, 8, 12, 16, 20, 24}) {
-    cdg::Sentence s = gen.generate_sentence(n);
+                 "arena bytes", "pairs", "masks", "|V|", "construct ms",
+                 "parse ms"});
+  // The long rows draw from their own generator, so the steady-state
+  // workload below sees the same sentences as without them.
+  grammars::SentenceGenerator long_gen(bundle, bench::kSeed + 1);
+  for (int n : {4, 8, 12, 16, 20, 24, 32, 64, 128}) {
+    cdg::Sentence s = (n <= 24 ? gen : long_gen).generate_sentence(n);
     maspar::Layout layout(bundle.grammar, s);
     // Per-PE state: the l x l bit submatrix (packed into 8 bytes here;
     // l^2 bits on the real machine) + segment ids, partner id and the
@@ -80,31 +89,38 @@ int main(int argc, char** argv) {
         (layout.vpes() + maspar::kMp1MaxPes - 1) / maspar::kMp1MaxPes;
     const std::size_t phys_bytes = pe_bytes * static_cast<std::size_t>(vf);
 
-    // Host-side CN: ONE arena allocation carries domains, compact arc
-    // matrices, truth masks and elimination staging (§2.2.1's
-    // fixed-offset PE-array layout, hosted).
-    cdg::Network net(bundle.grammar, s);
-    const cdg::NetworkArena& a = net.arena();
-    const double n4 = static_cast<double>(n) * n * n * n;
+    // Host-side CN, built and parsed cold: the shape region (domains,
+    // truth masks, elimination staging) is allocated at construction,
+    // the pair matrix when the first binary constraint compacts the
+    // survivors.
+    std::optional<cdg::Network> net;
+    const double construct_s =
+        bench::time_host([&] { net.emplace(bundle.grammar, s); });
+    const double parse_s = bench::time_host([&] { serial.parse(*net); });
+    const cdg::NetworkArena& a = net->arena();
     rows.push_back({n, layout.vpes(), phys_bytes, a.bytes(),
-                    a.domains_bytes(), a.arcs_bytes(), a.masks_bytes()});
+                    a.domains_bytes(), a.pairs_bytes(), a.masks_bytes(),
+                    a.pair_values(), construct_s * 1e3, parse_s * 1e3});
     t.add_row({std::to_string(n), std::to_string(layout.vpes()),
                std::to_string(phys_bytes),
                phys_bytes <= 16 * 1024 ? "yes" : "NO",
                util::format_value(static_cast<double>(a.bytes())),
-               util::format_value(static_cast<double>(a.arcs_bytes())),
+               util::format_value(static_cast<double>(a.pairs_bytes())),
                util::format_value(static_cast<double>(a.masks_bytes())),
-               bench::fmt(static_cast<double>(a.bytes()) / n4, "%.1f")});
+               std::to_string(a.pair_values()),
+               bench::fmt(construct_s * 1e3, "%.3f"),
+               bench::fmt(parse_s * 1e3, "%.3f")});
   }
   t.print(std::cout);
   std::cout
       << "\nReading: even heavily virtualized, PE-local state stays\n"
          "orders of magnitude under the 16 KB budget.  The arena column\n"
-         "is the CN's single backing allocation.  Its arcs are compact\n"
-         "post-unary blocks, sized from the grammar's labels per role\n"
-         "rather than all |L| labels, at 64 values per word: still\n"
-         "O(n^4), with a constant small enough that the dense truth\n"
-         "masks are of the same order.\n\n";
+         "is the CN's two backing allocations after one cold parse.  The\n"
+         "pair matrix spans only the values that survive unary\n"
+         "propagation (|V|); its region is sized min(worst case,\n"
+         "max(1 MB, 2 x need)), so up to n = 26 it holds the (grammar, n)\n"
+         "worst case and beyond that it grows with the survivors, not\n"
+         "with n^4.  The dense truth masks are the largest region there.\n\n";
 
   // ---- table 2: allocation counts, cold vs pooled steady state -------
   std::cout
@@ -175,6 +191,7 @@ int main(int argc, char** argv) {
   // ---- BENCH_memory.json ---------------------------------------------
   std::ofstream json(json_path);
   json << "{\n  \"workload\": \"english n=8..12, 24 sentences, serial\",\n";
+  json << "  \"arena_after\": \"one cold serial parse per n\",\n";
   json << "  \"arena\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -182,8 +199,11 @@ int main(int argc, char** argv) {
          << ", \"pe_local_bytes\": " << r.pe_bytes
          << ", \"arena_bytes\": " << r.arena_bytes
          << ", \"domains_bytes\": " << r.domains_bytes
-         << ", \"arcs_bytes\": " << r.arcs_bytes
-         << ", \"masks_bytes\": " << r.masks_bytes << "}"
+         << ", \"pairs_bytes\": " << r.pairs_bytes
+         << ", \"masks_bytes\": " << r.masks_bytes
+         << ", \"pair_values\": " << r.pair_values
+         << ", \"construct_ms\": " << bench::fmt(r.construct_ms, "%.3f")
+         << ", \"parse_ms\": " << bench::fmt(r.parse_ms, "%.3f") << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n";

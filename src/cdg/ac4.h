@@ -32,13 +32,13 @@ struct Ac4Stats {
 };
 
 /// AC-4 working memory.  After filter_ac4 returns, `counts` holds, for
-/// every value on a compact axis and every other role, the value's
-/// supporting 1-bits on the arc between them.
+/// every value on the pair axis and every role, the value's supporting
+/// 1-bits in that role's block of the pair matrix.
 struct Ac4Scratch {
-  std::vector<std::int32_t> counts;  // [(axis_base[role] + cid) * R + other]
-  std::vector<std::size_t> axis_base;  // [R + 1] prefix of axis lengths
-  std::vector<std::uint8_t> queued;    // one flag per compact value
-  std::vector<std::int32_t> queue;     // (role, cid) pairs, FIFO
+  std::vector<std::int32_t> counts;   // [v * R + role]
+  std::vector<std::int32_t> role_of;  // [v] role owning pair-axis value v
+  std::vector<std::uint8_t> queued;   // [v] enqueued once
+  std::vector<std::int32_t> queue;    // pair-axis values, FIFO
 
   /// True when every alive value's counters equal its live support on
   /// each incident arc of `net` (the state filter_ac4 leaves).
@@ -46,7 +46,8 @@ struct Ac4Scratch {
 };
 
 /// Runs support-counting filtering to the fixpoint on the network's
-/// arcs (building them first if needed).  Equivalent to net.filter(-1).
+/// pair matrix (building it first if needed).  Equivalent to
+/// net.filter(-1).
 Ac4Stats filter_ac4(Network& net, Ac4Scratch& scratch);
 Ac4Stats filter_ac4(Network& net);
 

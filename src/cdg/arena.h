@@ -3,48 +3,55 @@
 // The paper lays the whole CN out across the MasPar's PE array: every
 // arc submatrix at a fixed offset computable from ids alone (§2.2.1,
 // design decision 2).  NetworkArena is the host-side mirror of that
-// discipline: ONE contiguous allocation holds, in structure-of-arrays
-// form,
+// discipline.  Two allocations hold every bit of network state, in
+// structure-of-arrays form:
 //
-//   [ domains | compact arcs | compact axes | rv flags | masks
-//     | support scratch | compact masks | compact scratch ]
+//   shape region, sized from (R, D, mask slots) at reshape():
+//   [ domains | rv flags | masks ]
 //
-//   * domains        — R rows of S words (S = ceil(D / 64)): the dense
-//                      role-value bitsets every engine, the hash, the
-//                      result cache and the wire read;
-//   * compact arcs   — R*(R-1)/2 upper-triangle matrices over the
-//                      *compact axes*: arc (a, b) is |Aa| rows of
-//                      ceil(|Ab| / 64) words, packed back to back;
-//   * compact axes   — per role, the dense rv of each compact id: the
-//                      values alive when the arcs were built, ascending;
-//   * rv flags       — R*D bytes of victim marks for the parallel
-//                      engines' unary staging (each user zeroes first);
-//   * masks          — `mask_slots` rows of R×S words: per-(constraint
-//                      part, role) truth bitmasks on the dense axis
-//                      (kernels::MaskCache); 4 slots per binary
-//                      constraint;
-//   * support scratch— R dense rows: per-role support bitmasks
-//                      (kernels::support_mask);
-//   * compact masks  — 4 rows per role: the four truth masks of the
-//                      binary constraint being swept, gathered onto the
-//                      role's compact axis (MaskCache::gather);
-//   * compact scratch— one row per role on its compact axis (support and
-//                      victim bitmasks; disjoint per role, so parallel
-//                      engines share it).
+//   * domains  — R rows of S words (S = ceil(D / 64)): the dense
+//                role-value bitsets every engine, the hash, the result
+//                cache and the wire read;
+//   * rv flags — R*D bytes of victim marks for the parallel engines'
+//                unary staging (each user zeroes first);
+//   * masks    — `mask_slots` rows of R×S words: per-(constraint part,
+//                role) truth bitmasks on the dense axis
+//                (kernels::MaskCache); 4 slots per binary constraint.
 //
-// Host engines build the arcs after unary propagation (compact()), when
-// only a few percent of each domain survives, so an arc is a small
-// dense block over the surviving values instead of a |D|×|D| matrix
-// that ends up almost all zero.  The MasPar engine keeps the paper's
-// pre-unary layout in its own PE memory (design decision 1).
+//   pair region, sized from the survivors at compact():
+//   [ pair matrix | pair masks | pair scratch | pair axis ]
 //
-// Region sizes are pure functions of the shape: R, D, the mask slots and
-// each role's axis capacity (the most values the role can ever hold,
-// computed from the grammar and n), so a same-shape reinit() is O(1) and
-// never allocates.  Within the compact-arc region, offsets are laid out
-// by compact() from the actual axis lengths; they stay fixed until the
-// next reinit, and an eliminated value's row and column are zeroed in
-// place (design decision 4), never removed.  The serve layer pools whole
+//   * pair axis    — the pair axis V: every role's values alive at
+//                    compact(), role by role, ascending within a role.
+//                    Role r owns the block [block_begin(r),
+//                    block_end(r)) of V; entry v holds the dense rv;
+//   * pair matrix  — one symmetric |V|×|V| bit matrix: bit (u, v) is
+//                    set iff the two values may still coexist.  It
+//                    holds every arc of the network at once, as the
+//                    off-diagonal blocks; the diagonal (same-role)
+//                    blocks stay zero;
+//   * pair masks   — 4 rows of |V| bits: the truth masks of the binary
+//                    constraint being swept, gathered onto V
+//                    (MaskCache::gather);
+//   * pair scratch — one row of |V| bits (the support vector of a
+//                    consistency sweep).
+//
+// Host engines build the pair region after unary propagation (compact()),
+// when only a few percent of each domain survives, so the matrix is a
+// small dense block over the surviving values instead of R(R-1)/2
+// |D|×|D| arcs that end up almost all zero.  The MasPar engine keeps the
+// paper's pre-unary layout in its own PE memory (design decision 1).
+//
+// The shape region depends on the shape only, so a same-shape reinit()
+// is O(1) and never allocates.  The pair region's capacity is
+// min(worst case, max(1 MB, 2 × this sentence's need)), where the worst
+// case holds every value each role's axis capacity allows (computed from
+// the grammar and n).  It grows only in compact() and never shrinks, so
+// every n whose worst case fits in 1 MB (n <= 26 for the English
+// grammar) sizes it once, and larger n pay for what survives instead of
+// for n^4.  Between compact() and the next reinit the block offsets stay
+// fixed, and an eliminated value's row and column are zeroed in place
+// (design decision 4), never removed.  The serve layer pools whole
 // arenas via Network::reinit, making steady-state parsing
 // allocation-free per request.
 #pragma once
@@ -53,7 +60,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "util/bitmatrix.h"
@@ -65,14 +71,17 @@ class NetworkArena {
  public:
   using Word = util::DynBitset::Word;
   static constexpr std::size_t kWordBits = util::DynBitset::kWordBits;
-  /// Domain, mask and support-scratch rows start on cache-line
-  /// boundaries: the buffer base is padded to 64 bytes and those rows
-  /// use a stride rounded up to 8 words.
+  /// Domain and mask rows start on cache-line boundaries: the shape
+  /// region's base is padded to 64 bytes and those rows use a stride
+  /// rounded up to 8 words.
   static constexpr std::size_t kRowAlignBytes = 64;
   static constexpr std::size_t kAlignWords = kRowAlignBytes / sizeof(Word);
-  /// Compact mask rows per role (the four hoisted parts of one binary
-  /// constraint: ante_x, ante_y, cons_x, cons_y).
+  /// Pair mask rows (the four hoisted parts of one binary constraint:
+  /// ante_x, ante_y, cons_x, cons_y).
   static constexpr int kMaskParts = 4;
+  /// Smallest pair-region capacity compact() allocates, unless the
+  /// worst case is smaller.
+  static constexpr std::size_t kMinPairBytes = std::size_t{1} << 20;
 
   NetworkArena() = default;
   NetworkArena(int roles, int domain_size, std::size_t mask_slots = 0,
@@ -82,9 +91,9 @@ class NetworkArena {
 
   /// (Re)computes the layout for shape (R, D) with `mask_slots` rows of
   /// per-role constraint masks and, per role, room for
-  /// `axis_capacity[role]` compact values (empty: D for every role).
-  /// Reuses the existing allocation when it is big enough; otherwise
-  /// reallocates once.
+  /// `axis_capacity[role]` values on the pair axis (empty: D for every
+  /// role).  Reuses the shape region when it is big enough; otherwise
+  /// reallocates it once.
   void reshape(int roles, int domain_size, std::size_t mask_slots = 0,
                std::span<const int> axis_capacity = {});
 
@@ -94,7 +103,7 @@ class NetworkArena {
 
   /// Same-shape reuse: O(1) bookkeeping, no allocation, contents left
   /// for the caller to rewrite (Network::reinit refills domains).  The
-  /// compact axes are dropped; compact() builds them again.
+  /// pair axis is dropped; compact() builds it again.
   void reinit() {
     assert(R_ > 0);
     compacted_ = false;
@@ -106,27 +115,9 @@ class NetworkArena {
   int domain_size() const { return D_; }
   /// Words per dense domain row (natural stride, ceil(D / 64)).
   std::size_t row_words() const { return stride_; }
-  /// Words per domain / mask / support-scratch row (padded to a
-  /// multiple of kAlignWords; the pad words stay zero).
+  /// Words per domain / mask row (padded to a multiple of kAlignWords;
+  /// the pad words stay zero).
   std::size_t aligned_row_words() const { return dstride_; }
-  std::size_t num_arcs() const {
-    const std::size_t R = static_cast<std::size_t>(R_);
-    return R * (R - 1) / 2;
-  }
-
-  /// Row-major upper-triangle index of the arc between ra < rb.
-  std::size_t arc_index(int ra, int rb) const {
-    assert(0 <= ra && ra < rb && rb < R_);
-    const std::size_t R = static_cast<std::size_t>(R_);
-    const std::size_t a = static_cast<std::size_t>(ra);
-    const std::size_t b = static_cast<std::size_t>(rb);
-    return a * R - a * (a + 1) / 2 + (b - a - 1);
-  }
-
-  /// Inverse of arc_index (shape metadata, precomputed once).
-  std::pair<int, int> arc_pair(std::size_t idx) const {
-    return arc_pairs_[idx];
-  }
 
   // ---- domains --------------------------------------------------------
   util::BitSpan domain(int role) {
@@ -138,71 +129,67 @@ class NetworkArena {
                               static_cast<std::size_t>(D_));
   }
 
-  // ---- compact axes and arcs ------------------------------------------
-  /// Snapshots every role's alive values as its compact axis and lays
-  /// out the compact arc matrices, each filled with ones (bit (i, j) set
-  /// iff both values are alive, which all axis values are right now).
+  // ---- pair axis and matrix -------------------------------------------
+  /// Lays out the pair axis from every role's alive values and fills
+  /// the pair matrix with ones between distinct roles (all axis values
+  /// are alive right now).  Grows the pair region when this sentence
+  /// needs more than it holds (the `arena.alloc` fault site).
   void compact();
   /// True between compact() and the next reinit()/reshape().
   bool compacted() const { return compacted_; }
 
-  /// Most values `role`'s compact axis can hold.
+  /// Most values `role` can ever hold on the pair axis.
   int axis_capacity(int role) const { return cap_[role]; }
-  /// Dense rv of each compact id of `role`, ascending (compacted only).
-  std::span<const std::int32_t> axis(int role) const {
+  /// |V|: values on the pair axis (compacted only).
+  std::size_t pair_values() const { return V_; }
+  /// Words per pair-matrix row, ceil(|V| / 64).
+  std::size_t pair_row_words() const { return VW_; }
+  /// `role`'s block [block_begin, block_end) of the pair axis.
+  std::size_t block_begin(int role) const { return voff_[role]; }
+  std::size_t block_end(int role) const { return voff_[role + 1]; }
+  /// Role owning pair-axis value `v`.
+  int role_of(std::size_t v) const;
+
+  /// Dense rv of every pair-axis value (compacted only).
+  std::span<const std::int32_t> pair_axis() const {
     assert(compacted_);
-    return {axis_base() + axis_off_[role],
-            static_cast<std::size_t>(axis_len_[role])};
+    return {axis_base(), V_};
   }
-  /// Compact id of dense value `rv` of `role`, or -1 when `rv` is not on
-  /// the axis (it was dead when the arcs were built).
-  int compact_id(int role, int rv) const;
+  /// Dense rv of each value of `role`'s block, ascending.
+  std::span<const std::int32_t> axis(int role) const {
+    return pair_axis().subspan(block_begin(role),
+                               block_end(role) - block_begin(role));
+  }
+  /// Pair-axis index of dense value `rv` of `role`, or -1 when `rv` is
+  /// not on the axis (it was dead when compact() ran).
+  int pair_index(int role, int rv) const;
 
-  /// Compact arc matrix `idx`: rows index ra's axis, columns rb's axis.
-  util::BitMatrixView arc(std::size_t idx) {
-    const auto [ra, rb] = arc_pairs_[idx];
-    return util::BitMatrixView(base() + arcs_off_ + arc_off_[idx],
-                               axis_size(ra), axis_size(rb),
-                               axis_words(rb));
+  /// The |V|×|V| pair matrix.
+  util::BitMatrixView pairs() {
+    assert(compacted_);
+    return util::BitMatrixView(pairs_.data(), V_, V_, VW_);
   }
-  util::ConstBitMatrixView arc(std::size_t idx) const {
-    const auto [ra, rb] = arc_pairs_[idx];
-    return util::ConstBitMatrixView(base() + arcs_off_ + arc_off_[idx],
-                                    axis_size(ra), axis_size(rb),
-                                    axis_words(rb));
+  util::ConstBitMatrixView pairs() const {
+    assert(compacted_);
+    return util::ConstBitMatrixView(pairs_.data(), V_, V_, VW_);
   }
-  util::BitMatrixView arc(int ra, int rb) { return arc(arc_index(ra, rb)); }
-  util::ConstBitMatrixView arc(int ra, int rb) const {
-    return arc(arc_index(ra, rb));
+  Word* pair_row(std::size_t v) { return pairs_.data() + v * VW_; }
+  const Word* pair_row(std::size_t v) const {
+    return pairs_.data() + v * VW_;
   }
-
-  /// Set bits of compact arc `idx`.  compact() initializes it; every
-  /// kernel that clears arc bits subtracts what it cleared, so a sweep
-  /// can account for an arc it does not need to read.
-  std::uint32_t& arc_live(std::size_t idx) { return arc_live_[idx]; }
-  std::uint32_t arc_live(std::size_t idx) const { return arc_live_[idx]; }
 
   /// Hoisted-part mask `part` (0..3: ante_x, ante_y, cons_x, cons_y) of
-  /// the constraint last gathered, on `role`'s compact axis.
-  util::BitSpan compact_mask(int part, int role) {
-    return util::BitSpan(base() + cmask_off(part, role), axis_size(role));
+  /// the constraint last gathered, on the pair axis.
+  util::BitSpan pair_mask(int part) {
+    return util::BitSpan(pairs_.data() + pmask_off(part), V_);
   }
-  util::ConstBitSpan compact_mask(int part, int role) const {
-    return util::ConstBitSpan(base() + cmask_off(part, role),
-                              axis_size(role));
+  util::ConstBitSpan pair_mask(int part) const {
+    return util::ConstBitSpan(pairs_.data() + pmask_off(part), V_);
   }
 
-  /// Which antecedent masks of the constraint last gathered have any
-  /// bit set on `role`'s compact axis: kAnteX | kAnteY.
-  static constexpr std::uint8_t kAnteX = 1, kAnteY = 2;
-  std::uint8_t& mask_any(int role) { return mask_any_[role]; }
-  std::uint8_t mask_any(int role) const { return mask_any_[role]; }
-
-  /// Per-role scratch row on the compact axis.  Roles write disjoint
-  /// rows, so parallel engines can fill them concurrently.
-  util::BitSpan compact_scratch(int role) {
-    return util::BitSpan(base() + cscratch_off_ + cwords_off_[role],
-                         axis_size(role));
+  /// One row of |V| bits of scratch.
+  util::BitSpan pair_scratch() {
+    return util::BitSpan(pairs_.data() + pmask_off(kMaskParts), V_);
   }
 
   // ---- elimination staging -------------------------------------------
@@ -228,25 +215,12 @@ class NetworkArena {
                               static_cast<std::size_t>(D_));
   }
 
-  // ---- support scratch ------------------------------------------------
-  /// Per-role dense support bitmask (kernels::support_mask).  Roles
-  /// write disjoint rows, so parallel engines can fill them
-  /// concurrently.
-  util::BitSpan support_scratch(int role) {
-    return util::BitSpan(
-        base() + support_off_ + static_cast<std::size_t>(role) * dstride_,
-        static_cast<std::size_t>(D_));
-  }
-  util::ConstBitSpan support_scratch(int role) const {
-    return util::ConstBitSpan(
-        base() + support_off_ + static_cast<std::size_t>(role) * dstride_,
-        static_cast<std::size_t>(D_));
-  }
-
   // ---- accounting -----------------------------------------------------
-  /// Bytes of the single backing allocation.
-  std::size_t bytes() const { return buf_.capacity() * sizeof(Word); }
-  /// Times the backing buffer actually (re)allocated.
+  /// Bytes of both backing allocations.
+  std::size_t bytes() const {
+    return (buf_.capacity() + pairs_.capacity()) * sizeof(Word);
+  }
+  /// Times either backing buffer actually (re)allocated.
   std::uint64_t allocations() const { return allocations_; }
   /// Times a same-shape reinit reused the allocation.
   std::uint64_t reinits() const { return reinits_; }
@@ -254,8 +228,8 @@ class NetworkArena {
   std::size_t domains_bytes() const {
     return static_cast<std::size_t>(R_) * dstride_ * sizeof(Word);
   }
-  /// Capacity of the compact-arc region.
-  std::size_t arcs_bytes() const { return arcs_words_ * sizeof(Word); }
+  /// Capacity of the pair region.
+  std::size_t pairs_bytes() const { return pairs_.capacity() * sizeof(Word); }
   std::size_t masks_bytes() const {
     return mask_slots_ * static_cast<std::size_t>(R_) * dstride_ * sizeof(Word);
   }
@@ -264,20 +238,15 @@ class NetworkArena {
   Word* base() { return buf_.data() + base_pad_; }
   const Word* base() const { return buf_.data() + base_pad_; }
   const std::int32_t* axis_base() const {
-    return reinterpret_cast<const std::int32_t*>(base() + axis_region_off_);
+    return reinterpret_cast<const std::int32_t*>(pairs_.data() +
+                                                 pmask_off(kMaskParts + 1));
   }
   std::int32_t* axis_base() {
-    return reinterpret_cast<std::int32_t*>(base() + axis_region_off_);
-  }
-  std::size_t axis_size(int role) const {
-    assert(compacted_);
-    return static_cast<std::size_t>(axis_len_[role]);
-  }
-  std::size_t axis_words(int role) const {
-    return (axis_size(role) + kWordBits - 1) / kWordBits;
+    return reinterpret_cast<std::int32_t*>(pairs_.data() +
+                                           pmask_off(kMaskParts + 1));
   }
   std::size_t domain_off(int role) const {
-    return domains_off_ + static_cast<std::size_t>(role) * dstride_;
+    return static_cast<std::size_t>(role) * dstride_;
   }
   std::size_t mask_off(std::size_t slot, int role) const {
     assert(slot < mask_slots_ && 0 <= role && role < R_);
@@ -286,39 +255,30 @@ class NetworkArena {
             static_cast<std::size_t>(role)) *
                dstride_;
   }
-  std::size_t cmask_off(int part, int role) const {
-    assert(0 <= part && part < kMaskParts && 0 <= role && role < R_);
-    return cmasks_off_ + kMaskParts * cwords_off_[role] +
-           static_cast<std::size_t>(part) *
-               (cwords_off_[role + 1] - cwords_off_[role]);
+  /// Word offset of pair-region row `k` after the matrix: the four
+  /// masks, then the scratch row, then the axis.
+  std::size_t pmask_off(int k) const {
+    return V_ * VW_ + static_cast<std::size_t>(k) * VW_;
   }
 
   int R_ = 0;
   int D_ = 0;
   std::size_t stride_ = 0;   // words per dense domain row
-  std::size_t dstride_ = 0;  // words per domain/mask/scratch row (padded)
+  std::size_t dstride_ = 0;  // words per domain/mask row (padded)
   std::size_t base_pad_ = 0;  // words from buf_.data() to the aligned base
   std::size_t mask_slots_ = 0;
-  std::size_t arcs_words_ = 0;  // compact-arc region capacity
-  // Region offsets, in words from base() (the 64-byte-aligned start).
-  std::size_t domains_off_ = 0;
-  std::size_t arcs_off_ = 0;
-  std::size_t axis_region_off_ = 0;
+  // Shape-region offsets, in words from base() (the 64-byte-aligned
+  // start); the domains start at 0.
   std::size_t flags_off_ = 0;
   std::size_t masks_off_ = 0;
-  std::size_t support_off_ = 0;
-  std::size_t cmasks_off_ = 0;
-  std::size_t cscratch_off_ = 0;
-  std::vector<Word> buf_;
+  std::vector<Word> buf_;    // shape region
+  std::vector<Word> pairs_;  // pair region
   // Shape metadata, sized by reshape() and only rewritten afterwards.
-  std::vector<std::pair<int, int>> arc_pairs_;
-  std::vector<int> cap_;                  // [R] axis capacity
-  std::vector<std::size_t> axis_off_;     // [R + 1] prefix of cap_
-  std::vector<std::size_t> cwords_off_;   // [R + 1] prefix of cap_ words
-  std::vector<int> axis_len_;             // [R] axis length (compact())
-  std::vector<std::size_t> arc_off_;      // [arcs] word offset (compact())
-  std::vector<std::uint32_t> arc_live_;   // [arcs] set bits
-  std::vector<std::uint8_t> mask_any_;    // [R] kAnteX | kAnteY
+  std::vector<int> cap_;            // [R] axis capacity
+  std::size_t vmax_ = 0;            // sum of cap_
+  std::vector<std::size_t> voff_;   // [R + 1] block offsets (compact())
+  std::size_t V_ = 0;               // pair-axis length (compact())
+  std::size_t VW_ = 0;              // words per pair-matrix row
   bool compacted_ = false;
   std::uint64_t allocations_ = 0;
   std::uint64_t reinits_ = 0;

@@ -78,7 +78,7 @@ void BatchParser::gather(std::span<Network> nets) {
   // domains, which only shrink), so stale words left by a previous
   // same-shape batch are harmless.
   for (std::size_t t = 0; t < num_arcs_; ++t) {
-    const auto [ra, rb] = nets[0].arena().arc_pair(t);
+    const auto [ra, rb] = arc_pairs_[t];
     const Word* da = dom_row(ra);
     const Word* db = dom_row(rb);
     const Word* ud = udom_row(ra);
@@ -120,7 +120,7 @@ void BatchParser::sweep_constraint(std::span<Network> nets, std::size_t slot,
 
   EvalContext ctx;
   for (std::size_t t = 0; t < num_arcs_; ++t) {
-    const auto [ra, rb] = nets[0].arena().arc_pair(t);
+    const auto [ra, rb] = arc_pairs_[t];
     const RoleId rida = nets[0].role_id_of(ra);
     const RoleId ridb = nets[0].role_id_of(rb);
     const WordPos wa = nets[0].word_of_role(ra);
@@ -346,7 +346,7 @@ std::vector<BatchLaneResult> BatchParser::parse(
   // propagation, truth masks.  The constructor forces
   // prebuild_arcs = false, so build_arcs is never called — the
   // interleaved arc rows are synthesized directly in gather(), and
-  // the per-lane arc regions are never touched.
+  // the per-lane pair regions are never allocated.
   const std::size_t len = sentences[0].size();
   std::vector<Network>& pool = pool_[len];
   if (pool.empty()) pool.reserve(kLanes);
@@ -379,7 +379,8 @@ std::vector<BatchLaneResult> BatchParser::parse(
   const int R = nets[0].num_roles();
   const std::size_t D = static_cast<std::size_t>(nets[0].domain_size());
   const std::size_t W = nets[0].domain(0).word_count();
-  const std::size_t num_arcs = nets[0].arena().num_arcs();
+  const std::size_t num_arcs =
+      static_cast<std::size_t>(R) * static_cast<std::size_t>(R - 1) / 2;
   if (R != R_ || D != D_ || W != W_ || num_arcs != num_arcs_) {
     R_ = R;
     D_ = D;
@@ -395,9 +396,9 @@ std::vector<BatchLaneResult> BatchParser::parse(
     grow(arcs_, num_arcs_ * D_ * sW_);
     grow(masks_, binary_.size() * static_cast<std::size_t>(R_) * 4 * sW_);
     grow(vm_, sW_);
-    arc_pairs_.resize(num_arcs_);
-    for (std::size_t t = 0; t < num_arcs_; ++t)
-      arc_pairs_[t] = nets[0].arena().arc_pair(t);
+    arc_pairs_.clear();
+    for (int a = 0; a < R_; ++a)
+      for (int b = a + 1; b < R_; ++b) arc_pairs_.emplace_back(a, b);
   }
   sents_.assign(kLanes, nullptr);
   for (std::size_t b = 0; b < B; ++b) sents_[b] = &sentences[b];

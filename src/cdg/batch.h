@@ -105,7 +105,7 @@ class BatchParser {
     return masks_.data() +
            ((slot * static_cast<std::size_t>(R_) + role) * 4 + part) * sW_;
   }
-  /// Row-major upper-triangle arc index (same formula as NetworkArena).
+  /// Row-major upper-triangle arc index.
   std::size_t arc_index(int ra, int rb) const {
     const std::size_t R = static_cast<std::size_t>(R_);
     const std::size_t a = static_cast<std::size_t>(ra);

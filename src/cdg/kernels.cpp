@@ -32,54 +32,79 @@ bool pair_holds(const CompiledConstraint& c, EvalContext& ctx,
   return eval_compiled(c, ctx);
 }
 
+/// Bits [lo, hi) that fall in word `w` of a row.
+Word run_bits(std::size_t lo, std::size_t hi, std::size_t w) {
+  const std::size_t base = w * kWordBits;
+  if (hi <= base || lo >= base + kWordBits) return 0;
+  const std::size_t from = lo > base ? lo - base : 0;
+  const std::size_t to = hi - base < kWordBits ? hi - base : kWordBits;
+  return (to == kWordBits ? ~Word{0} : (Word{1} << to) - 1) &
+         ~((Word{1} << from) - 1);
+}
+
+void clear_bit(Word* row, std::size_t v) {
+  row[v / kWordBits] &= ~(Word{1} << (v % kWordBits));
+}
+
+/// Binding of pair-axis value `v`.
+Binding bind_value(const NetworkArena& a, const RvIndexer& ix,
+                   int roles_per_word, std::size_t v) {
+  const int role = a.role_of(v);
+  return Binding{ix.decode(a.pair_axis()[v]), role_id(role, roles_per_word),
+                 word_of(role, roles_per_word)};
+}
+
+/// Clears pair (v, u) from row v's word `w` bits `dead` and mirrors each
+/// into column v of the partner rows.  Returns pairs cleared.
+int kill_pairs(NetworkArena& a, std::size_t v, std::size_t w, Word dead) {
+  a.pair_row(v)[w] &= ~dead;
+  for (Word u = dead; u; u &= u - 1)
+    clear_bit(a.pair_row(w * kWordBits +
+                         static_cast<std::size_t>(std::countr_zero(u))),
+              v);
+  return std::popcount(dead);
+}
+
 }  // namespace
 
-void zero_rows_cols(NetworkArena& a, int role, std::span<const int> cids) {
-  const int R = a.roles();
-  util::BitSpan victims = a.compact_scratch(role);
-  victims.reset_all();
-  for (int c : cids) victims.set(static_cast<std::size_t>(c));
-  const Word* vm = victims.words();
-  for (int other = 0; other < R; ++other) {
-    if (other == role) continue;
-    const std::size_t t =
-        role < other ? a.arc_index(role, other) : a.arc_index(other, role);
-    if (a.arc_live(t) == 0) continue;
-    util::BitMatrixView m = a.arc(t);
-    const std::size_t W = m.row_word_count();
-    std::size_t cleared = 0;
-    if (role < other) {
-      for (int c : cids) {
-        cleared += m.row_count(static_cast<std::size_t>(c));
-        m.zero_row(static_cast<std::size_t>(c));
-      }
-    } else {
-      // One ANDN pass per partner row clears every victim column at
-      // once (dead partner rows are already zero; clearing them again
-      // is harmless and cheaper than testing).
-      for (std::size_t r = 0; r < m.rows(); ++r) {
-        Word* row = m.row_words(r);
-        for (std::size_t w = 0; w < W; ++w) {
-          cleared += static_cast<std::size_t>(std::popcount(row[w] & vm[w]));
-          row[w] &= ~vm[w];
-        }
-      }
-    }
-    a.arc_live(t) -= static_cast<std::uint32_t>(cleared);
+void zero_rows_cols(NetworkArena& a, std::span<const int> vids) {
+  const std::size_t W = a.pair_row_words();
+  for (int vid : vids) {
+    const std::size_t v = static_cast<std::size_t>(vid);
+    Word* row = a.pair_row(v);
+    for (std::size_t w = 0; w < W; ++w) kill_pairs(a, v, w, row[w]);
   }
 }
 
-bool supported(const NetworkArena& a, int role, int cid) {
-  const int R = a.roles();
-  for (int other = 0; other < R; ++other) {
+bool supported(const NetworkArena& a, int role, std::size_t v) {
+  const Word* row = a.pair_row(v);
+  const std::size_t W = a.pair_row_words();
+  for (int other = 0; other < a.roles(); ++other) {
     if (other == role) continue;
-    const bool ok =
-        role < other
-            ? a.arc(role, other).row_any(static_cast<std::size_t>(cid))
-            : a.arc(other, role).col_any(static_cast<std::size_t>(cid));
-    if (!ok) return false;
+    const std::size_t lo = a.block_begin(other), hi = a.block_end(other);
+    bool meets = false;
+    for (std::size_t w = lo / kWordBits; !meets && w < W && w * kWordBits < hi;
+         ++w)
+      meets = row[w] & run_bits(lo, hi, w);
+    if (!meets) return false;
   }
   return true;
+}
+
+void and_support_of(const NetworkArena& a, int role, util::BitSpan sup) {
+  const std::size_t lo = a.block_begin(role), hi = a.block_end(role);
+  Word* out = sup.words();
+  for (std::size_t w = 0; w < sup.word_count(); ++w) {
+    // A role's own values need no support from it.
+    Word meets = run_bits(lo, hi, w);
+    for (std::size_t v = lo; v < hi; ++v) meets |= a.pair_row(v)[w];
+    out[w] &= meets;
+  }
+}
+
+void support_all(const NetworkArena& a, util::BitSpan sup) {
+  sup.set_all();
+  for (int role = 0; role < a.roles(); ++role) and_support_of(a, role, sup);
 }
 
 void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
@@ -108,38 +133,34 @@ void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
   });
 }
 
-int sweep_binary(NetworkArena& a, std::size_t arc, const CompiledConstraint& c,
+int sweep_binary(NetworkArena& a, const CompiledConstraint& c,
                  const Sentence& sent, const RvIndexer& ix, int roles_per_word,
                  std::size_t* evals) {
-  const auto [ra, rb] = a.arc_pair(arc);
-  util::BitMatrixView m = a.arc(arc);
-  const std::span<const std::int32_t> axis_a = a.axis(ra);
-  const std::span<const std::int32_t> axis_b = a.axis(rb);
-  const RoleId rid_a = role_id(ra, roles_per_word);
-  const RoleId rid_b = role_id(rb, roles_per_word);
-  const WordPos wa = word_of(ra, roles_per_word);
-  const WordPos wb = word_of(rb, roles_per_word);
-  const std::size_t W = m.row_word_count();
+  const std::size_t V = a.pair_values();
+  const std::size_t W = a.pair_row_words();
   EvalContext ctx;
   ctx.sentence = &sent;
   std::size_t vm = 0;
   int zeroed = 0;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    Word* row = m.row_words(i);
-    const Binding bind_a{ix.decode(axis_a[i]), rid_a, wa};
-    for (std::size_t w = 0; w < W; ++w) {
-      for (Word u = row[w]; u; u &= u - 1) {
-        const std::size_t bit = static_cast<std::size_t>(std::countr_zero(u));
-        const Binding bind_b{ix.decode(axis_b[w * kWordBits + bit]), rid_b,
-                             wb};
-        if (!pair_holds(c, ctx, bind_a, bind_b, vm)) {
-          row[w] &= ~(Word{1} << bit);
-          ++zeroed;
+  for (int ra = 0; ra < a.roles(); ++ra) {
+    const std::size_t lo = a.block_begin(ra), hi = a.block_end(ra);
+    for (std::size_t v = lo; v < hi; ++v) {
+      const Binding bind_a = bind_value(a, ix, roles_per_word, v);
+      // Later roles' columns only: each pair is read from one side.
+      for (std::size_t w = hi / kWordBits; w < W; ++w) {
+        const Word live = a.pair_row(v)[w] & run_bits(hi, V, w);
+        Word dead = 0;
+        for (Word u = live; u; u &= u - 1) {
+          const std::size_t col =
+              w * kWordBits + static_cast<std::size_t>(std::countr_zero(u));
+          if (!pair_holds(c, ctx, bind_a,
+                          bind_value(a, ix, roles_per_word, col), vm))
+            dead |= u & -u;
         }
+        if (dead) zeroed += kill_pairs(a, v, w, dead);
       }
     }
   }
-  a.arc_live(arc) -= static_cast<std::uint32_t>(zeroed);
   if (evals) *evals += vm;
   return zeroed;
 }
@@ -148,16 +169,8 @@ namespace {
 
 /// Clears bit range [lo, hi) of `s`, word-wise.
 void clear_run(util::BitSpan s, std::size_t lo, std::size_t hi) {
-  constexpr std::size_t B = kWordBits;
-  Word* w = s.words();
-  for (std::size_t wi = lo / B; wi * B < hi; ++wi) {
-    const std::size_t base = wi * B;
-    const std::size_t from = lo > base ? lo - base : 0;
-    const std::size_t to = hi - base < B ? hi - base : B;
-    const Word m = (to == B ? ~Word{0} : (Word{1} << to) - 1) &
-                   ~((Word{1} << from) - 1);
-    w[wi] &= ~m;
-  }
+  for (std::size_t wi = lo / kWordBits; wi * kWordBits < hi; ++wi)
+    s.words()[wi] &= ~run_bits(lo, hi, wi);
 }
 
 }  // namespace
@@ -252,121 +265,102 @@ std::size_t MaskCache::ensure(NetworkArena& a, const FactoredConstraint& c,
 
 void MaskCache::gather(NetworkArena& a, std::size_t k) const {
   assert(built(a, k));
-  const int R = a.roles();
-  for (int role = 0; role < R; ++role) {
-    const std::span<const std::int32_t> axis = a.axis(role);
-    for (int p = 0; p < NetworkArena::kMaskParts; ++p) {
+  const NetworkArena& ca = a;
+  for (int p = 0; p < NetworkArena::kMaskParts; ++p) {
+    util::BitSpan out = a.pair_mask(p);
+    out.reset_all();
+    for (int role = 0; role < a.roles(); ++role) {
       const util::ConstBitSpan dense =
-          static_cast<const NetworkArena&>(a).mask(
-              k * kSlotsPerConstraint + static_cast<std::size_t>(p), role);
-      util::BitSpan out = a.compact_mask(p, role);
-      out.reset_all();
+          ca.mask(k * kSlotsPerConstraint + static_cast<std::size_t>(p), role);
+      const std::size_t lo = a.block_begin(role);
+      const std::span<const std::int32_t> axis = a.axis(role);
       for (std::size_t c = 0; c < axis.size(); ++c)
-        if (dense.test(static_cast<std::size_t>(axis[c]))) out.set(c);
+        if (dense.test(static_cast<std::size_t>(axis[c]))) out.set(lo + c);
     }
-    const NetworkArena& ca = a;
-    a.mask_any(role) =
-        (ca.compact_mask(0, role).any() ? NetworkArena::kAnteX : 0) |
-        (ca.compact_mask(1, role).any() ? NetworkArena::kAnteY : 0);
   }
 }
 
-int sweep_binary_masked(NetworkArena& a, std::size_t arc,
-                        const FactoredConstraint& c, const Sentence& sent,
-                        const RvIndexer& ix, int roles_per_word,
-                        const MaskedCounters& counters, bool apply_residual) {
-  const std::uint32_t live = a.arc_live(arc);
-  if (live == 0) return 0;  // no pair left (or an empty side)
-  const auto [ra, rb] = a.arc_pair(arc);
-  // Direction 1 can only be falsified or left undecided for a pair
-  // whose row value passes ante_x and whose partner passes ante_y;
-  // direction 2 mirrors.  When neither combination occurs on this arc,
-  // the masks alone decide every pair "keep" — without reading it.
-  const std::uint8_t fa = a.mask_any(ra), fb = a.mask_any(rb);
-  const bool dir1 = (fa & NetworkArena::kAnteX) && (fb & NetworkArena::kAnteY);
-  const bool dir2 = (fa & NetworkArena::kAnteY) && (fb & NetworkArena::kAnteX);
-  if (!dir1 && !dir2) {
-    if (counters.masked) *counters.masked += live;
-    return 0;
-  }
-  util::BitMatrixView m = a.arc(arc);
-  const std::size_t W = m.row_word_count();
-  // Partner-side mask words (bit j = does b's value j satisfy the part)
-  // and the row side's mask bits, both on the compact axes.
+int sweep_binary_masked(NetworkArena& a, const FactoredConstraint& c,
+                        const Sentence& sent, const RvIndexer& ix,
+                        int roles_per_word, const MaskedCounters& counters,
+                        bool apply_residual) {
+  const std::size_t V = a.pair_values();
+  const std::size_t W = a.pair_row_words();
+  // Partner-side mask words (bit u = does value u satisfy the part) and
+  // the row side's mask bits, both on the pair axis.
   const NetworkArena& ca = a;
-  const Word* AX = ca.compact_mask(0, rb).words();
-  const Word* AY = ca.compact_mask(1, rb).words();
-  const Word* CX = ca.compact_mask(2, rb).words();
-  const Word* CY = ca.compact_mask(3, rb).words();
-  const util::ConstBitSpan ma_ax = ca.compact_mask(0, ra);
-  const util::ConstBitSpan ma_ay = ca.compact_mask(1, ra);
-  const util::ConstBitSpan ma_cx = ca.compact_mask(2, ra);
-  const util::ConstBitSpan ma_cy = ca.compact_mask(3, ra);
-  const std::span<const std::int32_t> axis_a = a.axis(ra);
-  const std::span<const std::int32_t> axis_b = a.axis(rb);
-  const RoleId rid_a = role_id(ra, roles_per_word);
-  const RoleId rid_b = role_id(rb, roles_per_word);
-  const WordPos wa = word_of(ra, roles_per_word);
-  const WordPos wb = word_of(rb, roles_per_word);
+  const Word* AX = ca.pair_mask(0).words();
+  const Word* AY = ca.pair_mask(1).words();
+  const Word* CX = ca.pair_mask(2).words();
+  const Word* CY = ca.pair_mask(3).words();
+  const util::ConstBitSpan ma_ax = ca.pair_mask(0), ma_ay = ca.pair_mask(1);
+  const util::ConstBitSpan ma_cx = ca.pair_mask(2), ma_cy = ca.pair_mask(3);
   EvalContext ctx;
   ctx.sentence = &sent;
-  std::size_t vm = 0, masked = 0;
+  std::size_t vm = 0, masked = 0, rows = 0, words = 0;
   int zeroed = 0;
   const auto ones = [](bool b) { return b ? ~Word{0} : Word{0}; };
 
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    Word* row = m.row_words(i);
-    // Fold the row value's hoisted-mask bits and the constraint's
-    // residual flags into eight broadcast constants, leaving a fixed
-    // 8-term expression per word — the same instruction stream for
-    // every row, the ACU-broadcast shape.
-    const bool ax = ma_ax.test(i), ay = ma_ay.test(i);
-    const bool cx = ma_cx.test(i), cy = ma_cy.test(i);
-    const Word nax = ones(!ax), ncx = ones(!cx);
-    const Word nay = ones(!ay), ncy = ones(!cy);
-    const Word t1c = ones(cx && !c.cons_residual);
-    const Word t2c = ones(cy && !c.cons_residual);
-    const Word f1c = ones(ax && !c.ante_residual);
-    const Word f2c = ones(ay && !c.ante_residual);
-    for (std::size_t w = 0; w < W; ++w) {
-      const Word r = row[w];
-      if (!r) continue;
-      // Direction 1 (x = row value, y = partner value j): known
-      // satisfied iff the antecedent is falsified by a hoisted part, or
-      // the consequent is proven by both hoisted parts with no
-      // residual; known violated iff the antecedent is proven and a
-      // consequent part fails.  Direction 2 mirrors with the sides
-      // swapped.
-      const Word t1 = ~AY[w] | nax | (CY[w] & t1c);
-      const Word f1 = f1c & AY[w] & (~CY[w] | ncx);
-      const Word t2 = ~AX[w] | nay | (CX[w] & t2c);
-      const Word f2 = f2c & AX[w] & (~CX[w] | ncy);
-      const Word kill = f1 | f2;
-      const Word und = r & ~kill & ~(t1 & t2);
-      row[w] = r & ~kill;
-      masked += static_cast<std::size_t>(std::popcount(r) - std::popcount(und));
-      zeroed += std::popcount(r & kill);
-      if (!apply_residual || !und) continue;
-      // Residual: the bytecode VM decides what the masks left open.  A
-      // pair's verdict depends only on (sentence, i, j), never on
-      // matrix state, so deciding it here or later is the same.
-      const Binding bind_a{ix.decode(axis_a[i]), rid_a, wa};
-      for (Word u = und; u; u &= u - 1) {
-        const std::size_t bit = static_cast<std::size_t>(std::countr_zero(u));
-        const Binding bind_b{ix.decode(axis_b[w * kWordBits + bit]), rid_b,
-                             wb};
-        if (!pair_holds(c.full, ctx, bind_a, bind_b, vm)) {
-          row[w] &= ~(Word{1} << bit);
-          ++zeroed;
+  for (int ra = 0; ra < a.roles(); ++ra) {
+    const std::size_t lo = a.block_begin(ra), hi = a.block_end(ra);
+    if (hi == V) break;  // no later role holds a value
+    const std::size_t w0 = hi / kWordBits;
+    for (std::size_t v = lo; v < hi; ++v) {
+      Word* row = a.pair_row(v);
+      // Fold the row value's hoisted-mask bits and the constraint's
+      // residual flags into eight broadcast constants, leaving a fixed
+      // 8-term expression per word — the same instruction stream for
+      // every row, the ACU-broadcast shape.
+      const bool ax = ma_ax.test(v), ay = ma_ay.test(v);
+      const bool cx = ma_cx.test(v), cy = ma_cy.test(v);
+      const Word nax = ones(!ax), ncx = ones(!cx);
+      const Word nay = ones(!ay), ncy = ones(!cy);
+      const Word t1c = ones(cx && !c.cons_residual);
+      const Word t2c = ones(cy && !c.cons_residual);
+      const Word f1c = ones(ax && !c.ante_residual);
+      const Word f2c = ones(ay && !c.ante_residual);
+      ++rows;
+      words += W - w0;
+      for (std::size_t w = w0; w < W; ++w) {
+        // Columns of later roles only: each pair is read from one side.
+        const Word r = w == w0 ? row[w] & ~((Word{1} << (hi % kWordBits)) - 1)
+                               : row[w];
+        if (!r) continue;
+        // Direction 1 (x = row value, y = partner value u): known
+        // satisfied iff the antecedent is falsified by a hoisted part, or
+        // the consequent is proven by both hoisted parts with no
+        // residual; known violated iff the antecedent is proven and a
+        // consequent part fails.  Direction 2 mirrors with the sides
+        // swapped.
+        const Word t1 = ~AY[w] | nax | (CY[w] & t1c);
+        const Word f1 = f1c & AY[w] & (~CY[w] | ncx);
+        const Word t2 = ~AX[w] | nay | (CX[w] & t2c);
+        const Word f2 = f2c & AX[w] & (~CX[w] | ncy);
+        const Word kill = f1 | f2;
+        const Word und = r & ~kill & ~(t1 & t2);
+        masked += static_cast<std::size_t>(std::popcount(r) - std::popcount(und));
+        Word dead = r & kill;
+        if (apply_residual && und) {
+          // Residual: the bytecode VM decides what the masks left open.
+          // A pair's verdict depends only on (sentence, v, u), never on
+          // matrix state, so deciding it here or later is the same.
+          const Binding bind_a = bind_value(a, ix, roles_per_word, v);
+          for (Word u = und; u; u &= u - 1) {
+            const std::size_t col =
+                w * kWordBits + static_cast<std::size_t>(std::countr_zero(u));
+            if (!pair_holds(c.full, ctx, bind_a,
+                            bind_value(a, ix, roles_per_word, col), vm))
+              dead |= u & -u;
+          }
         }
+        if (dead) zeroed += kill_pairs(a, v, w, dead);
       }
     }
   }
-  a.arc_live(arc) -= static_cast<std::uint32_t>(zeroed);
   if (counters.vm_evals) *counters.vm_evals += vm;
   if (counters.masked) *counters.masked += masked;
-  if (counters.tile_sweeps) ++*counters.tile_sweeps;
-  if (counters.lane_words) *counters.lane_words += m.rows() * W;
+  if (counters.tile_sweeps) *counters.tile_sweeps += rows;
+  if (counters.lane_words) *counters.lane_words += words;
   return zeroed;
 }
 
@@ -406,52 +400,6 @@ void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
   if (unary_guard_fails(c, sent, rid, w, domain, counters)) return;
   propagate_unary(c.unary_rest, sent, ix, rid, w, domain, flags,
                   counters.vm_evals);
-}
-
-void support_mask(NetworkArena& a, int role, util::BitSpan out) {
-  assert(out.size() == static_cast<std::size_t>(a.domain_size()));
-  const NetworkArena& ca = a;
-  const std::span<const std::int32_t> axis = a.axis(role);
-  const util::ConstBitSpan dom = ca.domain(role);
-  // Work on the compact axis.  Dead values are unsupported by
-  // definition (their rows/columns are zeroed), so start from the
-  // values still alive and only ever clear bits.
-  util::BitSpan sup = a.compact_scratch(role);
-  sup.reset_all();
-  for (std::size_t c = 0; c < axis.size(); ++c)
-    if (dom.test(static_cast<std::size_t>(axis[c]))) sup.set(c);
-  Word* sw = sup.words();
-  const std::size_t W = sup.word_count();
-  const int R = a.roles();
-  for (int other = 0; other < R && sup.any(); ++other) {
-    if (other == role) continue;
-    if (role < other) {
-      // Row side: one row-any bit per value still in the running.
-      const util::ConstBitMatrixView m = ca.arc(role, other);
-      sup.for_each([&](std::size_t c) {
-        if (!m.row_any(c)) sup.reset(c);
-      });
-    } else {
-      // Column side: OR-fold the partner's rows word by word (dead rows
-      // are all-zero and contribute nothing).  Blocked so the
-      // accumulator stays on the stack for any axis length.
-      const util::ConstBitMatrixView m = ca.arc(other, role);
-      constexpr std::size_t kBlock = 64;
-      Word acc[kBlock];
-      for (std::size_t w0 = 0; w0 < W; w0 += kBlock) {
-        const std::size_t nb = std::min(kBlock, W - w0);
-        for (std::size_t b = 0; b < nb; ++b) acc[b] = 0;
-        for (std::size_t r = 0; r < m.rows(); ++r) {
-          const Word* row = m.row_words(r) + w0;
-          for (std::size_t b = 0; b < nb; ++b) acc[b] |= row[b];
-        }
-        for (std::size_t b = 0; b < nb; ++b) sw[w0 + b] &= acc[b];
-      }
-    }
-  }
-  out.reset_all();
-  sup.for_each(
-      [&](std::size_t c) { out.set(static_cast<std::size_t>(axis[c])); });
 }
 
 }  // namespace parsec::cdg::kernels

@@ -2,27 +2,32 @@
 //
 // Every host backend — the sequential parser, the OpenMP engine, the
 // CRCW P-RAM step model and the topology models — performs the same
-// bit-level operations: zero an eliminated role value's rows/columns,
+// bit-level operations: zero an eliminated role value's row and column,
 // test support, evaluate a unary constraint over a domain, and sweep a
-// binary constraint over an arc matrix.  They are defined once here,
-// expressed over NetworkArena spans, so the arc layout is known only to
+// binary constraint over the pairs.  They are defined once here,
+// expressed over NetworkArena spans, so the pair layout is known only to
 // cdg/arena, cdg/network and this layer.
 //
-// Arc matrices are compact (cdg/arena.h): built after unary
-// propagation, arc (a, b) holds one row per value on a's compact axis
-// and one column per value on b's, so every kernel below that touches an
-// arc works in compact ids and maps back to dense role values through
-// NetworkArena::axis only where a binding or a domain bit needs it.
-// Domains, truth masks and support bitmasks stay dense D-bit rows.
+// The network's arcs are one symmetric pair matrix M over the pair axis
+// V (cdg/arena.h): built after unary propagation, with one row and one
+// column per surviving value, role by role.  Every kernel below that
+// touches a pair works on V indices and maps back to dense role values
+// through NetworkArena::pair_axis only where a binding or a domain bit
+// needs it.  Domains and the truth masks of the mask cache stay dense
+// D-bit rows.  In this form a binary constraint is one mask pass over
+// each row's words, and support is the Boolean product M·B with the
+// |V|×R role-indicator matrix B (Lee's matrix view of parsing; the host
+// counterpart of the MasPar's per-arc scanOr and per-role scanAnd,
+// Figures 10/12).
 //
 // Semantics contracts (the equivalence and golden tests depend on them):
-//   * iteration order is role-major, rv-ascending, and set-bit
-//     ascending within rows — matching the sequential formulation
-//     (compact ids ascend with the dense values they stand for);
+//   * a pair (u, v) of distinct roles is read once per sweep, from the
+//     row of the earlier role; a kill clears both of its bits, and
+//     counts once;
 //   * counter hooks (`evals`) replicate the historical increments
 //     exactly: one per unary test, two per binary pair tested (whether
 //     or not the second assignment runs);
-//   * the sweeps clear bits in place and return how many.
+//   * the sweeps clear bits in place and return how many pairs.
 //
 // Counter-hook contract for the masked (vectorized) kernels:
 //   * `evals` still counts ACTUAL bytecode-VM dispatches — one per
@@ -53,18 +58,27 @@
 
 namespace parsec::cdg::kernels {
 
-/// Zeroes the rows (in arcs where `role` is the row side) and columns
-/// (where it is the column side) of compact ids `cids` of `role` across
-/// every incident arc matrix.  The matrix never shrinks (paper §2.2.1,
-/// design decision 4).  Each column-side arc is cleared in one ANDN
-/// pass over its rows with a victim bitmask built in `role`'s compact
-/// scratch row (clobbered).  Like every kernel that clears arc bits, it
-/// subtracts what it cleared from NetworkArena::arc_live.
-void zero_rows_cols(NetworkArena& a, int role, std::span<const int> cids);
+/// Zeroes the rows and columns of pair-axis values `vids`: the matrix
+/// never shrinks (paper §2.2.1, design decision 4).  M is symmetric, so
+/// a value's column is cleared through the set bits of its row.
+void zero_rows_cols(NetworkArena& a, std::span<const int> vids);
 
-/// True iff every arc incident to `role` still has a supporting 1-bit
-/// for compact id `cid` (the AND of row/column ORs, paper §1.4).
-bool supported(const NetworkArena& a, int role, int cid);
+/// True iff row `v` of `role` meets every other role's block, i.e. every
+/// incident arc still has a supporting 1-bit for it (paper §1.4).
+bool supported(const NetworkArena& a, int role, std::size_t v);
+
+/// Support of every pair-axis value, into `sup` (|V| bits): bit v is set iff row v meets every block but its own, the
+/// rows of M·B ANDed over roles.  M is symmetric, so the values that
+/// meet role r's block are the OR of that block's rows: one OR-fold per
+/// role, |V| + R row reads in all.  Dead values (zero rows) read 0
+/// unless R = 1.
+void support_all(const NetworkArena& a, util::BitSpan sup);
+
+/// Re-reads role `role`'s term of support_all into `sup` (ANDs in the
+/// values that still meet its block).  After eliminations in `role`
+/// this is the only term that changes, so a cascading sweep stays exact
+/// with one OR-fold per role that lost values.
+void and_support_of(const NetworkArena& a, int role, util::BitSpan sup);
 
 /// Evaluates one unary constraint over the set bits of `domain`
 /// (ascending), appending failing dense rv indices to `victims`.
@@ -84,15 +98,15 @@ void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
                      util::ConstBitSpan domain, std::span<std::uint8_t> flags,
                      std::size_t* evals = nullptr);
 
-/// Sweeps one binary constraint over the surviving bits of compact arc
-/// `arc`: for every set bit, evaluates both variable assignments of the
-/// pair of dense values it stands for and clears the bit on failure.
-/// `roles_per_word` maps the arc's roles to (role id, word) bindings.
-/// If `evals` is non-null it is incremented by 2 per pair tested (both
-/// assignments are charged even when the first already fails).
-/// Returns the number of bits cleared.  This is the one-dispatch-per-
-/// pair oracle the masked sweep must match (ParseOptions::use_masks).
-int sweep_binary(NetworkArena& a, std::size_t arc, const CompiledConstraint& c,
+/// Sweeps one binary constraint over every live pair of the pair matrix:
+/// for each, evaluates both variable assignments of the two dense values
+/// and clears the pair on failure.  `roles_per_word` maps roles to (role
+/// id, word) bindings.  If `evals` is non-null it is incremented by 2
+/// per pair tested (both assignments are charged even when the first
+/// already fails).  Returns the number of pairs cleared.  This is the
+/// one-dispatch-per-pair oracle the masked sweep must match
+/// (ParseOptions::use_masks).
+int sweep_binary(NetworkArena& a, const CompiledConstraint& c,
                  const Sentence& sent, const RvIndexer& ix, int roles_per_word,
                  std::size_t* evals = nullptr);
 
@@ -150,10 +164,9 @@ class MaskCache {
                      std::size_t k, const Sentence& sent, const RvIndexer& ix,
                      int roles_per_word);
 
-  /// Copies constraint k's four masks (must be built) onto every role's
-  /// compact axis, into the arena's compact mask rows, and records which
-  /// roles have any antecedent bit set (NetworkArena::mask_any), for
-  /// the sweeps (arena must be compacted).
+  /// Copies constraint k's four masks (must be built) onto the pair
+  /// axis, into the arena's pair mask rows, for the sweeps (arena must
+  /// be compacted).
   void gather(NetworkArena& a, std::size_t k) const;
 
   /// Mask spans of constraint k for `role` (must be built).
@@ -178,34 +191,28 @@ struct MaskedCounters {
   std::size_t* vm_evals = nullptr;       // actual bytecode dispatches
   std::size_t* masked = nullptr;         // pairs/values decided mask-only
   std::size_t* build_evals = nullptr;    // hoisted evals spent on masks
-  // Sweep bookkeeping: compact arcs whose rows went through the mask
-  // expression (`tile_sweeps`, one block per arc read) and their 64-bit
-  // row words (`lane_words`).  Both are pure functions of the network
-  // state, so the perf gate can pin them.
+  // Sweep bookkeeping: pair-matrix rows put through the mask expression
+  // (`tile_sweeps`) and their 64-bit words (`lane_words`).  Both are
+  // pure functions of the network state, so the perf gate can pin them.
   std::size_t* tile_sweeps = nullptr;
   std::size_t* lane_words = nullptr;
 };
 
-/// Masked sweep of one binary constraint over compact arc `arc`: the
-/// separable part of the constraint is applied as a fixed 8-term
-/// AND/ANDN/OR expression per row word over the partner's gathered
-/// compact masks (MaskCache::gather must have run for this
-/// constraint), deciding most pairs without a VM dispatch; only pairs
-/// the masks leave undecided fall back to the full bytecode program
-/// (both variable assignments, exactly like sweep_binary).  An arc with
-/// no set bit is skipped, and so is one on which no row value passes
-/// ante_x while a partner passes ante_y, nor the mirror: the masks
-/// decide all its pairs "keep" (charged to `masked` from the arena's
-/// live-bit count, NetworkArena::arc_live) without reading a row.  When
-/// `apply_residual` is false undecided
-/// pairs are left untouched (the mask-only ablation mode; results then
-/// UNDER-approximate the plain sweep).  Returns bits cleared.
+/// Masked sweep of one binary constraint over the pair matrix: for each
+/// row, the separable part of the constraint is applied as a fixed
+/// 8-term AND/ANDN/OR expression per word over the gathered pair masks
+/// (MaskCache::gather must have run for this constraint), across the
+/// columns of every later role at once, deciding most pairs without a VM
+/// dispatch; only pairs the masks leave undecided fall back to the full
+/// bytecode program (both variable assignments, exactly like
+/// sweep_binary).  When `apply_residual` is false undecided pairs are
+/// left untouched (the mask-only ablation mode; results then
+/// UNDER-approximate the plain sweep).  Returns pairs cleared.
 /// Bit-identical to sweep_binary by construction when `apply_residual`
 /// is true.
-int sweep_binary_masked(NetworkArena& a, std::size_t arc,
-                        const FactoredConstraint& c, const Sentence& sent,
-                        const RvIndexer& ix, int roles_per_word,
-                        const MaskedCounters& counters,
+int sweep_binary_masked(NetworkArena& a, const FactoredConstraint& c,
+                        const Sentence& sent, const RvIndexer& ix,
+                        int roles_per_word, const MaskedCounters& counters,
                         bool apply_residual = true);
 
 /// Hoisted-guard unary propagation: evaluates the constraint's
@@ -228,23 +235,13 @@ void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
                             std::span<std::uint8_t> flags,
                             const MaskedCounters& counters);
 
-/// Word-parallel support sweep for one role (arena must be compacted):
-/// writes, into `out` (D bits, dense), the AND over every incident arc
-/// of "role value has at least one supporting 1-bit on this arc".
-/// Works on the role's compact axis in its compact scratch row
-/// (clobbered): row-side arcs contribute one row-any bit per value,
-/// column-side arcs an OR-fold of the partner's rows.  out.test(rv) ==
-/// supported(a, role, compact_id(role, rv)) for every alive rv; dead
-/// values read 0.
-void support_mask(NetworkArena& a, int role, util::BitSpan out);
-
 // ---------------------------------------------------------------------
 // Packed l×l submatrix kernels (MasPar PE words, paper Fig. 13).
 //
 // Each MasPar PE holds an l×l label submatrix packed into one 64-bit
 // word: bit (i*l + j) is row-label-slot i, column-label-slot j.  The
 // row/column masking that the engine's SIMD phases perform is the
-// packed counterpart of zero_row / zero_col above.
+// packed counterpart of zero_rows_cols above.
 // ---------------------------------------------------------------------
 
 /// Mask of row `lab` in an l×l packed submatrix.

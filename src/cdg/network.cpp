@@ -44,7 +44,7 @@ Network::Network(const Grammar& g, const Sentence& s, Options opt)
                  kernels::MaskCache::kSlotsPerConstraint * num_binary,
                  axis_capacities(g, n()));
   mask_cache_.configure(num_binary);
-  cids_.reserve(static_cast<std::size_t>(domain_size()));
+  vids_.reserve(static_cast<std::size_t>(domain_size()));
   init_domains();
   if (opt_.prebuild_arcs) build_arcs();
 }
@@ -104,39 +104,22 @@ void Network::build_arcs() {
   gathered_slot_ = kNoSlot;
 }
 
-util::ConstBitMatrixView Network::arc_matrix(int ra, int rb) const {
-  assert(arcs_built_);
-  return arena_.arc(ra, rb);
-}
-
 bool Network::arc_allows(int ra, int rv_a, int rb, int rv_b) const {
-  if (!arcs_built_) return alive(ra, rv_a) && alive(rb, rv_b);
-  if (ra > rb) {
-    std::swap(ra, rb);
-    std::swap(rv_a, rv_b);
-  }
-  const int i = arena_.compact_id(ra, rv_a);
-  const int j = arena_.compact_id(rb, rv_b);
-  return i >= 0 && j >= 0 &&
-         arena_.arc(ra, rb).test(static_cast<std::size_t>(i),
-                                 static_cast<std::size_t>(j));
+  if (!arcs_built_) return ra != rb && alive(ra, rv_a) && alive(rb, rv_b);
+  const int u = arena_.pair_index(ra, rv_a);
+  const int v = arena_.pair_index(rb, rv_b);
+  return u >= 0 && v >= 0 &&
+         arena_.pairs().test(static_cast<std::size_t>(u),
+                             static_cast<std::size_t>(v));
 }
 
 void Network::arc_forbid(int ra, int rv_a, int rb, int rv_b) {
   build_arcs();
-  if (ra > rb) {
-    std::swap(ra, rb);
-    std::swap(rv_a, rv_b);
-  }
-  const int i = arena_.compact_id(ra, rv_a);
-  const int j = arena_.compact_id(rb, rv_b);
-  const std::size_t t = arena_.arc_index(ra, rb);
-  util::BitMatrixView m = arena_.arc(t);
-  if (i >= 0 && j >= 0 &&
-      m.test(static_cast<std::size_t>(i), static_cast<std::size_t>(j))) {
-    m.reset(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
-    --arena_.arc_live(t);
-  }
+  if (!arc_allows(ra, rv_a, rb, rv_b)) return;
+  const auto u = static_cast<std::size_t>(arena_.pair_index(ra, rv_a));
+  const auto v = static_cast<std::size_t>(arena_.pair_index(rb, rv_b));
+  arena_.pairs().reset(u, v);
+  arena_.pairs().reset(v, u);
   ++counters_.arc_zeroings;
 }
 
@@ -180,12 +163,9 @@ int Network::apply_unary(const CompiledConstraint& c) {
 int Network::apply_binary(const CompiledConstraint& c) {
   assert(c.arity == 2);
   build_arcs();
-  int zeroed = 0;
-  const std::size_t A = num_arcs();
-  for (std::size_t t = 0; t < A; ++t)
-    zeroed += kernels::sweep_binary(arena_, t, c, sentence_, indexer_,
-                                    roles_per_word(),
-                                    &counters_.binary_evals);
+  const int zeroed =
+      kernels::sweep_binary(arena_, c, sentence_, indexer_, roles_per_word(),
+                            &counters_.binary_evals);
   counters_.arc_zeroings += static_cast<std::size_t>(zeroed);
   return zeroed;
 }
@@ -223,36 +203,31 @@ void Network::ensure_masks(const FactoredConstraint& c, std::size_t slot) {
   span.arg("build_evals", evals);
 }
 
-void Network::prepare_binary(const FactoredConstraint& c, std::size_t slot) {
+int Network::sweep_binary(const FactoredConstraint& c, std::size_t slot,
+                          const kernels::MaskedCounters& sink,
+                          bool apply_residual) {
+  assert(c.arity == 2);
   build_arcs();
   ensure_masks(c, slot);
-  if (gathered_slot_ == slot) return;
-  mask_cache_.gather(arena_, slot);
-  gathered_slot_ = slot;
-}
-
-int Network::sweep_arc(const FactoredConstraint& c, std::size_t arc,
-                       const kernels::MaskedCounters& mc,
-                       bool apply_residual) {
-  return kernels::sweep_binary_masked(arena_, arc, c, sentence_, indexer_,
-                                      roles_per_word(), mc, apply_residual);
+  if (gathered_slot_ != slot) {
+    mask_cache_.gather(arena_, slot);
+    gathered_slot_ = slot;
+  }
+  const int zeroed =
+      kernels::sweep_binary_masked(arena_, c, sentence_, indexer_,
+                                   roles_per_word(), sink, apply_residual);
+  counters_.arc_zeroings += static_cast<std::size_t>(zeroed);
+  return zeroed;
 }
 
 int Network::apply_binary(const FactoredConstraint& c, std::size_t slot,
                           bool apply_residual) {
-  assert(c.arity == 2);
-  prepare_binary(c, slot);
   kernels::MaskedCounters mc;
   mc.vm_evals = &counters_.binary_evals;
   mc.masked = &counters_.masked_binary_pairs;
   mc.tile_sweeps = &counters_.tile_sweeps;
   mc.lane_words = &counters_.simd_lane_words;
-  int zeroed = 0;
-  const std::size_t A = num_arcs();
-  for (std::size_t t = 0; t < A; ++t)
-    zeroed += sweep_arc(c, t, mc, apply_residual);
-  counters_.arc_zeroings += static_cast<std::size_t>(zeroed);
-  return zeroed;
+  return sweep_binary(c, slot, mc, apply_residual);
 }
 
 void Network::eliminate(int role, int rv) {
@@ -264,9 +239,9 @@ void Network::eliminate(int role, int rv) {
     trace_(TraceEvent{current_kind_, current_cause_, role,
                       indexer_.decode(rv)});
   if (!arcs_built_) return;
-  const int cid = arena_.compact_id(role, rv);
-  assert(cid >= 0);  // alive values are on the axis
-  kernels::zero_rows_cols(arena_, role, std::span<const int>(&cid, 1));
+  const int vid = arena_.pair_index(role, rv);
+  assert(vid >= 0);  // alive values are on the axis
+  kernels::zero_rows_cols(arena_, std::span<const int>(&vid, 1));
 }
 
 int Network::eliminate_batch(int role, std::span<const int> rvs) {
@@ -284,29 +259,31 @@ int Network::eliminate_batch(int role, std::span<const int> rvs) {
   }
   if (!killed || !arcs_built_) return killed;
   // Every value alive now was alive when the arcs were built, so each
-  // victim has a compact id; values that were already dead are skipped
-  // (their rows and columns are zero).
-  cids_.clear();
+  // victim is on the pair axis; values that were already dead are
+  // skipped (their rows and columns are zero).
+  vids_.clear();
   for (int rv : rvs) {
-    const int cid = arena_.compact_id(role, rv);
-    if (cid >= 0) cids_.push_back(cid);
+    const int vid = arena_.pair_index(role, rv);
+    if (vid >= 0) vids_.push_back(vid);
   }
-  kernels::zero_rows_cols(arena_, role, cids_);
+  kernels::zero_rows_cols(arena_, vids_);
   return killed;
 }
 
 bool Network::supported(int role, int rv) {
   build_arcs();
   ++counters_.support_checks;
-  const int cid = arena_.compact_id(role, rv);
-  return cid >= 0 && kernels::supported(arena_, role, cid);
+  const int vid = arena_.pair_index(role, rv);
+  return vid >= 0 &&
+         kernels::supported(arena_, role, static_cast<std::size_t>(vid));
 }
 
-util::ConstBitSpan Network::support_mask(int role) {
-  build_arcs();
-  counters_.support_checks += domain(role).count();
-  kernels::support_mask(arena_, role, arena_.support_scratch(role));
-  return arena_.support_scratch(role);
+void Network::collect_unsupported(int role, util::ConstBitSpan sup) {
+  victims_.clear();
+  const std::size_t lo = arena_.block_begin(role);
+  const std::span<const std::int32_t> axis = arena_.axis(role);
+  for (std::size_t c = 0; c < axis.size(); ++c)
+    if (!sup.test(lo + c) && alive(role, axis[c])) victims_.push_back(axis[c]);
 }
 
 int Network::consistency_step() {
@@ -318,23 +295,38 @@ int Network::consistency_step() {
   if (muts == clean_sweep_at_) return 0;
   current_kind_ = TraceEvent::Kind::SupportElimination;
   current_cause_ = "consistency";
+  // Word-parallel sweep over the support vector of the whole pair axis.
+  // Victims come out role by role in ascending rv order, and after a
+  // role loses values its term of the vector is re-read, so later roles
+  // see every elimination made before them (the cascade).
+  const util::BitSpan sup = arena_.pair_scratch();
+  kernels::support_all(arena_, sup);
   int eliminated = 0;
   const int R = num_roles();
   for (int role = 0; role < R; ++role) {
-    // Word-parallel sweep: one support bitmask per role instead of one
-    // row/column probe per value.  Victims (alive & ~supported) come out
-    // in the same ascending order as the per-value formulation, and the
-    // mask sees every elimination made for earlier roles, so cascading
-    // behaviour within the sweep is unchanged.  (eliminate_batch reuses
-    // the support scratch row — after the victims are extracted.)
-    victims_.clear();
-    const util::ConstBitSpan sup = support_mask(role);
-    domain(role).for_each([&](std::size_t rv) {
-      if (!sup.test(rv)) victims_.push_back(static_cast<int>(rv));
-    });
+    counters_.support_checks += domain(role).count();
+    collect_unsupported(role, sup);
+    if (victims_.empty()) continue;
     eliminated += eliminate_batch(role, victims_);
+    kernels::and_support_of(arena_, role, sup);
   }
   if (eliminated == 0) clean_sweep_at_ = muts;
+  return eliminated;
+}
+
+int Network::synchronous_sweep(std::size_t* support_checks) {
+  build_arcs();
+  current_kind_ = TraceEvent::Kind::SupportElimination;
+  current_cause_ = "consistency";
+  const util::BitSpan sup = arena_.pair_scratch();
+  kernels::support_all(arena_, sup);
+  if (support_checks) *support_checks += total_alive();
+  int eliminated = 0;
+  const int R = num_roles();
+  for (int role = 0; role < R; ++role) {
+    collect_unsupported(role, sup);
+    eliminated += eliminate_batch(role, victims_);
+  }
   return eliminated;
 }
 
@@ -356,8 +348,8 @@ bool Network::all_roles_nonempty() const {
 
 bool Network::check_invariants() const {
   const int R = num_roles();
-  // Layout invariant: domain, mask and support-scratch rows start on
-  // cache-line boundaries.
+  // Layout invariant: domain and mask rows start on cache-line
+  // boundaries.
   auto aligned = [](const NetworkArena::Word* p) {
     return reinterpret_cast<std::uintptr_t>(p) %
                NetworkArena::kRowAlignBytes ==
@@ -365,43 +357,38 @@ bool Network::check_invariants() const {
   };
   for (int r = 0; r < R; ++r) {
     if (!aligned(domain(r).words())) return false;
-    if (!aligned(arena_.support_scratch(r).words())) return false;
     for (std::size_t s = 0; s < arena_.mask_slots(); ++s)
       if (!aligned(arena_.mask(s, r).words())) return false;
   }
   if (!arcs_built_) return true;
-  // Every alive value is on its role's (ascending) compact axis.
+  // Every alive value is on its role's (ascending) block of the axis.
   for (int r = 0; r < R; ++r) {
     const std::span<const std::int32_t> ax = arena_.axis(r);
     for (std::size_t c = 1; c < ax.size(); ++c)
       if (ax[c - 1] >= ax[c]) return false;
     bool on_axis = true;
     domain(r).for_each([&](std::size_t rv) {
-      if (arena_.compact_id(r, static_cast<int>(rv)) < 0) on_axis = false;
+      if (arena_.pair_index(r, static_cast<int>(rv)) < 0) on_axis = false;
     });
     if (!on_axis) return false;
   }
-  // Arc bits only at alive×alive positions (an eliminated value's row
-  // and column are zero), and none past a row's last column.
-  for (std::size_t t = 0; t < num_arcs(); ++t) {
-    const auto [ra, rb] = arena_.arc_pair(t);
-    const std::span<const std::int32_t> ax_a = arena_.axis(ra);
-    const std::span<const std::int32_t> ax_b = arena_.axis(rb);
-    const util::ConstBitMatrixView m = arena_.arc(t);
-    if (m.count() != arena_.arc_live(t)) return false;
-    const std::size_t cols = m.cols();
-    for (std::size_t i = 0; i < m.rows(); ++i) {
+  // The pair matrix: symmetric, no same-role bit, bits only at
+  // alive×alive positions, none past a row's last column.
+  const util::ConstBitMatrixView m = arena_.pairs();
+  const std::span<const std::int32_t> axis = arena_.pair_axis();
+  const std::size_t V = m.rows();
+  for (int r = 0; r < R; ++r) {
+    const std::size_t lo = arena_.block_begin(r), hi = arena_.block_end(r);
+    for (std::size_t u = lo; u < hi; ++u) {
       const std::size_t W = m.row_word_count();
-      if (W && cols % NetworkArena::kWordBits &&
-          (m.row_words(i)[W - 1] >> (cols % NetworkArena::kWordBits)))
+      if (W && V % NetworkArena::kWordBits &&
+          (m.row_words(u)[W - 1] >> (V % NetworkArena::kWordBits)))
         return false;
-      if (!alive(ra, ax_a[i])) {
-        if (m.row_any(i)) return false;
-        continue;
-      }
+      const bool live = alive(r, axis[u]);
       bool bad = false;
-      m.row_span(i).for_each([&](std::size_t j) {
-        if (!alive(rb, ax_b[j])) bad = true;
+      m.row_span(u).for_each([&](std::size_t v) {
+        bad = bad || !live || (lo <= v && v < hi) || !m.test(v, u) ||
+              !alive(arena_.role_of(v), axis[v]);
       });
       if (bad) return false;
     }
@@ -417,17 +404,13 @@ std::size_t Network::total_alive() const {
 }
 
 std::size_t Network::arc_ones() const {
-  std::size_t total = 0;
-  const std::size_t A = arena_.num_arcs();
-  for (std::size_t t = 0; t < A; ++t) {
-    if (arcs_built_) {
-      total += arena_.arc(t).count();
-    } else {
-      const auto [ra, rb] = arena_.arc_pair(t);
-      total += domain(ra).count() * domain(rb).count();
-    }
-  }
-  return total;
+  // Each pair holds two bits of the symmetric matrix.
+  if (arcs_built_) return arena_.pairs().count() / 2;
+  const std::size_t alive = total_alive();
+  std::size_t same_role = 0;
+  for (int role = 0; role < num_roles(); ++role)
+    same_role += domain(role).count() * domain(role).count();
+  return (alive * alive - same_role) / 2;
 }
 
 std::string to_string(const Grammar& g, RoleValue rv) {

@@ -11,27 +11,28 @@
 // O(n^2)-bit matrix, i.e. O(n^4) arc elements in total — the quantity
 // the MasPar spreads across its PEs.
 //
-// Storage: every bit of network state (domains, arc matrices, truth
-// masks, elimination staging) lives in ONE contiguous NetworkArena
-// allocation (cdg/arena.h), mirroring the paper's flat PE-array layout
-// (§2.2.1).  Accessors hand out spans/views into that arena, and the
-// propagation operations route through the shared cdg/kernels.h layer
-// used by every host engine.
+// Storage: every bit of network state (domains, the pair matrix, truth
+// masks, elimination staging) lives in one NetworkArena (cdg/arena.h),
+// mirroring the paper's flat PE-array layout (§2.2.1).  Accessors hand
+// out spans/views into that arena, and the propagation operations route
+// through the shared cdg/kernels.h layer used by every host engine.
 //
-// Arc layout: domains are dense D-bit rows, but the arc matrices are
-// built on first use (the first binary constraint, consistency sweep or
-// support query), normally after unary propagation, over *compact axes*:
-// each role's values alive at that moment, renumbered 0..|A|-1.  An arc
-// is then |Aa| x |Ab| bits instead of D x D, most of which would be
-// zero.  The dense-rv accessors (arc_allows, arc_forbid, eliminate,
-// supported) translate through the axes, so callers never see compact
-// ids; arc_matrix() and compact_axis() expose the layout itself.
+// Arc layout: domains are dense D-bit rows, but the arcs are built on
+// first use (the first binary constraint, consistency sweep or support
+// query), normally after unary propagation, as ONE symmetric pair matrix
+// over the *pair axis* V: every role's values alive at that moment, role
+// by role.  Arc (a, b) is the block of rows of a's values and columns of
+// b's, so a constraint sweep covers every arc of a row in one pass over
+// its words and support is the product of the matrix with the role
+// indicator matrix.  The dense-rv accessors (arc_allows, arc_forbid,
+// eliminate, supported) translate through the axis, so callers never see
+// V indices; pair_matrix() and compact_axis() expose the layout itself.
 //
-// MasPar fidelity: eliminated role values never shrink a matrix — their
+// MasPar fidelity: eliminated role values never shrink the matrix — their
 // rows and columns are zeroed in place (design decision 4).  Building
 // arcs before unary propagation (design decision 1) is modelled by the
 // MasPar engine's own PE layout; here `Options::prebuild_arcs` merely
-// builds the compact arcs over the full initial domains.
+// builds the pair matrix over the full initial domains.
 #pragma once
 
 #include <cstddef>
@@ -67,11 +68,11 @@ struct NetworkCounters {
   std::size_t masked_binary_pairs = 0;
   std::size_t masked_unary_decided = 0;
   std::size_t mask_build_evals = 0;
-  /// Sweep bookkeeping: arc blocks the masked kernel read (one per
-  /// compact arc it could not decide unread; one per row tile in the
-  /// SoA batch) and 64-bit words put through its mask expression.  Both
-  /// are functions of the network state and sweep schedule only, so the
-  /// perf gate can pin them on any machine.
+  /// Sweep bookkeeping: row blocks the masked kernel read (one per
+  /// pair-matrix row; one per row tile in the SoA batch) and 64-bit
+  /// words put through its mask expression.  Both are functions of the
+  /// network state and sweep schedule only, so the perf gate can pin
+  /// them on any machine.
   std::size_t tile_sweeps = 0;
   std::size_t simd_lane_words = 0;
 
@@ -104,7 +105,7 @@ struct NetworkCounters {
 };
 
 struct NetworkOptions {
-  /// Build the arc matrices at construction and every reinit, over the
+  /// Build the pair matrix at construction and every reinit, over the
   /// full initial domains, instead of on first use after unary
   /// propagation.  Results are identical; bench_ablation_build_order
   /// measures the work difference.
@@ -172,27 +173,27 @@ class Network {
 
   // ---- arcs --------------------------------------------------------------
   bool arcs_built() const { return arcs_built_; }
-  /// Builds every arc matrix over the compact axes of the currently
-  /// alive values: bit (i,j) is 1 iff both role values are alive.
-  /// Idempotent until the next reinit.
+  /// Builds the pair matrix over the currently alive values: bit (u, v)
+  /// is 1 iff the two values belong to distinct roles.  Idempotent until
+  /// the next reinit.
   void build_arcs();
 
-  /// Compact axis of `role` (arcs built): the dense rv of each row or
-  /// column the role has in its arcs, ascending.
+  /// `role`'s block of the pair axis (arcs built): the dense rv of each
+  /// row or column the role has in the pair matrix, ascending.
   std::span<const std::int32_t> compact_axis(int role) const {
     return arena_.axis(role);
   }
 
-  /// Arc matrix for roles ra < rb (arcs built): rows index
-  /// compact_axis(ra), columns compact_axis(rb).
-  util::ConstBitMatrixView arc_matrix(int ra, int rb) const;
-  std::size_t num_arcs() const { return arena_.num_arcs(); }
+  /// The symmetric pair matrix (arcs built): rows and columns index the
+  /// pair axis, role blocks in role order (NetworkArena::block_begin).
+  util::ConstBitMatrixView pair_matrix() const { return arena_.pairs(); }
 
   /// Whether role values (ra, rv_a) and (rb, rv_b) may coexist, on the
   /// dense rv axis: before the arcs exist, iff both are alive; after,
   /// the arc bit (false for a value that was dead when they were built).
   bool arc_allows(int ra, int rv_a, int rb, int rv_b) const;
-  /// Clears one pair's arc bit (building the arcs first if needed).
+  /// Clears one pair (building the arcs first if needed); arc_zeroings
+  /// is charged only when the pair was still set.
   void arc_forbid(int ra, int rv_a, int rb, int rv_b);
 
   // ---- alive cache -------------------------------------------------------
@@ -213,8 +214,8 @@ class Network {
   /// returns the number of role values eliminated.
   int apply_unary(const CompiledConstraint& c);
 
-  /// Propagates one binary constraint over every pair of role values on
-  /// every arc, in both variable assignments; returns bits zeroed.
+  /// Propagates one binary constraint over every pair of role values in
+  /// distinct roles, in both variable assignments; returns pairs zeroed.
   /// Builds the arcs first if they do not exist yet.
   int apply_binary(const CompiledConstraint& c);
 
@@ -224,32 +225,27 @@ class Network {
   /// sweep entirely (charged to counters().masked_unary_decided).
   int apply_unary(const FactoredConstraint& c);
 
-  /// Masked binary sweep: identical bits zeroed to apply_binary(c.full),
-  /// with most pairs decided by bitwise row kernels over the constraint's
-  /// truth masks (stored in arena mask slot group `slot`, one group per
-  /// binary constraint) and only mask-undecided pairs dispatched to the
-  /// bytecode VM.  With `apply_residual` false, undecided pairs are left
-  /// untouched instead (bench_ablation_masks' mask-only mode; the result
-  /// then under-approximates the plain sweep).
+  /// Masked binary sweep: identical pairs zeroed to
+  /// apply_binary(c.full), with most pairs decided by bitwise row
+  /// kernels over the constraint's truth masks (stored in arena mask
+  /// slot group `slot`, one group per binary constraint) and only
+  /// mask-undecided pairs dispatched to the bytecode VM.  With
+  /// `apply_residual` false, undecided pairs are left untouched instead
+  /// (bench_ablation_masks' mask-only mode; the result then
+  /// under-approximates the plain sweep).  Charges every sweep counter.
   int apply_binary(const FactoredConstraint& c, std::size_t slot,
+                   bool apply_residual = true);
+
+  /// The same sweep, charging the masked-kernel counters only through
+  /// `sink` (arc_zeroings is always charged): the parallel engines and
+  /// step models keep evaluation counts with their own cost models.
+  int sweep_binary(const FactoredConstraint& c, std::size_t slot,
+                   const kernels::MaskedCounters& sink,
                    bool apply_residual = true);
 
   /// Builds (if stale) constraint `c`'s truth masks in slot group `slot`;
   /// hoisted evaluations are charged to counters().mask_build_evals.
   void ensure_masks(const FactoredConstraint& c, std::size_t slot);
-
-  /// Everything the masked sweep of constraint `c` (slot group `slot`)
-  /// reads: the arcs, the constraint's masks, and those masks gathered
-  /// onto the compact axes.  Parallel engines call this once, serially,
-  /// and then sweep_arc() from any number of threads.
-  void prepare_binary(const FactoredConstraint& c, std::size_t slot);
-
-  /// Masked sweep of the constraint last prepared over arc `arc` (see
-  /// kernels::sweep_binary_masked); returns bits zeroed.  Writes only
-  /// that arc's words and charges only `mc`, so distinct arcs may be
-  /// swept concurrently; the caller does the counter bookkeeping.
-  int sweep_arc(const FactoredConstraint& c, std::size_t arc,
-                const kernels::MaskedCounters& mc, bool apply_residual = true);
 
   /// Mask spans of slot group `slot` for `role` (ensure_masks first).
   kernels::FactoredMasks masks(std::size_t slot, int role) const {
@@ -259,33 +255,33 @@ class Network {
   /// The mask cache itself (staleness inspection in tests).
   const kernels::MaskCache& mask_cache() const { return mask_cache_; }
 
-  /// Removes a role value: clears its domain bit and zeroes its row or
-  /// column in every arc matrix incident to `role`.
+  /// Removes a role value: clears its domain bit and zeroes its row and
+  /// column of the pair matrix.
   void eliminate(int role, int rv);
 
   /// Removes several role values of ONE role: identical bookkeeping and
   /// end state to calling eliminate(role, rv) for each element in
-  /// order, but each incident arc is cleared in one pass
-  /// (kernels::zero_rows_cols).  Returns the number of values actually
-  /// eliminated.
+  /// order (kernels::zero_rows_cols).  Returns the number of values
+  /// actually eliminated.
   int eliminate_batch(int role, std::span<const int> rvs);
 
-  /// True unless some arc no longer supports (role, rv): an incident
-  /// matrix whose row/column for rv is all zeros (paper §1.4).  Builds
+  /// True unless some arc no longer supports (role, rv): its row of the
+  /// pair matrix misses some other role's block (paper §1.4).  Builds
   /// the arcs first if they do not exist yet.
   bool supported(int role, int rv);
 
-  /// Word-parallel support sweep: fills the role's arena support-scratch
-  /// row with the per-value support bits (kernels::support_mask) and
-  /// returns a view of it.  out.test(rv) == supported(role, rv) for
-  /// every alive rv; support_checks is charged one per alive value,
-  /// exactly like the per-value path.  The span stays valid until the
-  /// next support_mask call for the same role.
-  util::ConstBitSpan support_mask(int role);
-
-  /// One consistency-maintenance sweep over all role values; returns the
-  /// number eliminated.  Eliminations cascade within the sweep.
+  /// One consistency-maintenance sweep over all role values, role by
+  /// role; returns the number eliminated.  Eliminations cascade within
+  /// the sweep: a role's support reflects every elimination made for
+  /// earlier roles.  support_checks is charged one per alive value.
   int consistency_step();
+
+  /// One synchronous consistency sweep (the P-RAM and MasPar schedule,
+  /// §2.1 and Figures 10/12): every value's support is read from the
+  /// state before the sweep, then all victims go.  `support_checks`,
+  /// when non-null, is charged one per alive value.  Returns the number
+  /// eliminated.
+  int synchronous_sweep(std::size_t* support_checks);
 
   /// Filtering (paper §1.4): repeats consistency_step until quiescent or
   /// `max_iters` sweeps have run (<0 = unbounded, the sequential model;
@@ -297,16 +293,16 @@ class Network {
   bool all_roles_nonempty() const;
 
   /// Structural self-check for tests: every alive value lies on its
-  /// role's compact axis, every eliminated value has fully zeroed
-  /// rows/columns in its incident arcs (equivalently, arc bits exist
-  /// only at alive×alive positions), and no bit lies past a row's last
-  /// column.  Returns true when all invariants hold.
+  /// role's block of the pair axis, and the pair matrix is symmetric,
+  /// has no same-role bit, holds bits only at alive×alive positions
+  /// (an eliminated value's row and column are zero) and none past a
+  /// row's last column.  Returns true when all invariants hold.
   bool check_invariants() const;
 
   // ---- stats ------------------------------------------------------------
   std::size_t total_alive() const;
-  /// Set arc bits; before the arcs exist, the alive×alive pairs they
-  /// would start with.
+  /// Allowed pairs of values in distinct roles; before the arcs exist,
+  /// the alive×alive pairs they would start with.
   std::size_t arc_ones() const;
   NetworkCounters& counters() { return counters_; }
   const NetworkCounters& counters() const { return counters_; }
@@ -323,15 +319,18 @@ class Network {
 
  private:
   void init_domains();
+  /// Alive values of `role` whose bit in `sup` (over the pair axis) is
+  /// clear, ascending, into victims_.
+  void collect_unsupported(int role, util::ConstBitSpan sup);
 
   const Grammar* grammar_;
   Sentence sentence_;
   RvIndexer indexer_;
   Options opt_;
-  NetworkArena arena_;  // domains + arcs + staging + masks
+  NetworkArena arena_;  // domains + pair matrix + staging + masks
   kernels::MaskCache mask_cache_;
   bool arcs_built_ = false;
-  // Binary-constraint slot whose masks sit on the compact axes.
+  // Binary-constraint slot whose masks sit on the pair axis.
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
   std::size_t gathered_slot_ = kNoSlot;
   NetworkCounters counters_;
@@ -353,7 +352,7 @@ class Network {
   // Persistent scratch (capacity retained across reinit; the serve hot
   // path must not allocate per request).
   std::vector<int> victims_;             // per-role elimination staging
-  std::vector<int> cids_;                // victims' compact ids
+  std::vector<int> vids_;                // victims' pair-axis indices
   std::vector<int> alive_flat_;          // alive rvs, role-major
   std::vector<std::size_t> alive_off_;   // [R + 1] offsets into alive_flat_
 };

@@ -140,16 +140,12 @@ TopoResult TopologyParser::parse(Network& net,
         break;
       }
       charge_elem(arc_elems);
-      net.prepare_binary(c, ci);
       // Sweep accounting only: mesh cost stays with charge_elem, but the
       // host-side sweeps are pinned per backend by the gate.
       cdg::kernels::MaskedCounters mc;
       mc.tile_sweeps = &net.counters().tile_sweeps;
       mc.lane_words = &net.counters().simd_lane_words;
-      std::size_t zeroed = 0;
-      for (std::size_t t = 0; t < net.num_arcs(); ++t)
-        zeroed += static_cast<std::size_t>(net.sweep_arc(c, t, mc));
-      net.counters().arc_zeroings += zeroed;
+      net.sweep_binary(c, ci, mc);
     }
     span.arg("time_steps", r.time_steps - steps_before);
   }
@@ -171,21 +167,8 @@ TopoResult TopologyParser::parse(Network& net,
       charge_elem(arc_elems);
       charge_reduce();
       charge_elem(arc_elems);
-      // Pre-state support semantics, as on the real machines: all roles'
-      // support masks are filled before any elimination.
-      for (int role = 0; role < net.num_roles(); ++role) net.support_mask(role);
-      int swept = 0;
-      for (int role = 0; role < net.num_roles(); ++role) {
-        victims.clear();
-        const util::ConstBitSpan sup =
-            static_cast<const cdg::NetworkArena&>(net.arena())
-                .support_scratch(role);
-        net.domain(role).for_each([&](std::size_t rv) {
-          if (!sup.test(rv)) victims.push_back(static_cast<int>(rv));
-        });
-        swept += net.eliminate_batch(role, victims);
-      }
-      if (swept == 0) break;
+      // Pre-state support semantics, as on the real machines.
+      if (net.synchronous_sweep(&net.counters().support_checks) == 0) break;
     }
     span.arg("iterations", iters);
     span.arg("time_steps", r.time_steps - steps_before);

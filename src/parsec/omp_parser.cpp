@@ -47,64 +47,16 @@ void OmpParser::apply_unary(Network& net, const FactoredConstraint& c) const {
 
 void OmpParser::apply_binary(Network& net, const FactoredConstraint& c,
                              std::size_t slot) const {
-  // Arc build, mask build and gather are serial (they write shared
-  // regions once); the sweeps that consume them are read-only on them.
-  net.prepare_binary(c, slot);
-  // Partition by arc: each worker owns whole matrices, so writes never
-  // race.
-  const std::size_t A = net.num_arcs();
-  std::size_t zeroed_total = 0;
-  // Tile accounting rides the existing reduction (this engine otherwise
-  // reports work through wall-clock, not eval counts): each worker
-  // charges thread-local tile/lane-word accumulators, summed after the
-  // barrier so the totals match the serial schedule bit-for-bit.
-  std::size_t tiles_total = 0, lanes_total = 0;
-#if defined(PARSEC_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic) \
-    reduction(+ : zeroed_total, tiles_total, lanes_total)
-#endif
-  for (std::size_t t = 0; t < A; ++t) {
-    cdg::kernels::MaskedCounters mc;
-    std::size_t tiles = 0, lanes = 0;
-    mc.tile_sweeps = &tiles;
-    mc.lane_words = &lanes;
-    zeroed_total += static_cast<std::size_t>(net.sweep_arc(c, t, mc));
-    tiles_total += tiles;
-    lanes_total += lanes;
-  }
-  net.counters().tile_sweeps += tiles_total;
-  net.counters().simd_lane_words += lanes_total;
-  net.counters().arc_zeroings += zeroed_total;
+  // One pass over the pair matrix; this engine reports work through
+  // wall-clock, so only the sweep bookkeeping is charged.
+  cdg::kernels::MaskedCounters mc;
+  mc.tile_sweeps = &net.counters().tile_sweeps;
+  mc.lane_words = &net.counters().simd_lane_words;
+  net.sweep_binary(c, slot, mc);
 }
 
 int OmpParser::consistency_sweep(Network& net) const {
-  net.build_arcs();
-  const int R = net.num_roles();
-  // Pre-state support masks, one per role, in parallel: every mask is
-  // computed against the pre-sweep matrices (reads only; the arena's
-  // support-scratch rows are disjoint per role).
-#if defined(PARSEC_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic)
-#endif
-  for (int role = 0; role < R; ++role) {
-    cdg::kernels::support_mask(net.arena(), role,
-                               net.arena().support_scratch(role));
-  }
-  int eliminated = 0;
-  std::vector<int> victims;
-  for (int role = 0; role < R; ++role) {
-    // Extract this role's victims before eliminate_batch clobbers the
-    // scratch row; later roles' rows are untouched until their turn.
-    victims.clear();
-    const util::ConstBitSpan sup =
-        static_cast<const cdg::NetworkArena&>(net.arena())
-            .support_scratch(role);
-    net.domain(role).for_each([&](std::size_t rv) {
-      if (!sup.test(rv)) victims.push_back(static_cast<int>(rv));
-    });
-    eliminated += net.eliminate_batch(role, victims);
-  }
-  return eliminated;
+  return net.synchronous_sweep(nullptr);
 }
 
 OmpParser::OmpParser(const cdg::Grammar& g, OmpOptions opt)

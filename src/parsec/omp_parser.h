@@ -1,15 +1,14 @@
 // Host-parallel PARSEC using OpenMP.
 //
 // The paper targets a SIMD array; on a modern shared-memory host the
-// same data parallelism maps onto threads: binary constraints partition
-// by arc (each thread owns disjoint matrices), unary constraints and
-// consistency maintenance partition by role with pre-sweep semantics
-// (support flags computed before any elimination, like the P-RAM
-// engine), so the fixpoint is identical to the sequential parser's.
-// Constraints are evaluated through the vectorized path (hoisted-
-// predicate truth masks + bitwise row kernels) — masks are built once,
-// serially, before each parallel sweep.  Falls back to single-threaded
-// loops when built without OpenMP.
+// same data parallelism maps onto threads: unary constraints partition
+// by role.  Binary constraints are one pass over the network's pair
+// matrix, and consistency maintenance is the synchronous sweep
+// (support computed before any elimination, like the P-RAM engine), so
+// the fixpoint is identical to the sequential parser's.  Constraints
+// are evaluated through the vectorized path (hoisted-predicate truth
+// masks + bitwise row kernels).  Falls back to single-threaded loops
+// when built without OpenMP.
 #pragma once
 
 #include "cdg/network.h"
@@ -41,7 +40,7 @@ class OmpParser {
   /// filtering sweep — so a fired deadline aborts within one phase.
   OmpResult parse(cdg::Network& net, const cdg::CancelFn& cancel = {}) const;
 
-  /// One parallel consistency sweep (pre-state support flags); returns
+  /// One synchronous consistency sweep (pre-state support); returns
   /// role values eliminated.
   int consistency_sweep(cdg::Network& net) const;
 

@@ -70,56 +70,34 @@ void PramParser::apply_binary_parallel(Network& net, pram::Machine& m,
   m.for_all(std::max<std::size_t>(pairs, 1), [](std::size_t) {});
   // The actual evaluation (performed host-side through the masked
   // sweep, but each pair decided independently, exactly as the step
-  // models).
-  net.prepare_binary(c, slot);
-  // Sweep accounting only: the VM/masked-pair charges stay with the
-  // step model's processor counts (the PRAM cost story), but the
-  // host-side sweeps are real work and the perf gate pins them per
+  // models).  Sweep accounting only: the VM/masked-pair charges stay
+  // with the step model's processor counts (the PRAM cost story), but
+  // the host-side sweeps are real work and the perf gate pins them per
   // backend.
   cdg::kernels::MaskedCounters mc;
   mc.tile_sweeps = &net.counters().tile_sweeps;
   mc.lane_words = &net.counters().simd_lane_words;
-  std::size_t zeroed = 0;
-  for (std::size_t t = 0; t < net.num_arcs(); ++t)
-    zeroed += static_cast<std::size_t>(net.sweep_arc(c, t, mc));
-  net.counters().arc_zeroings += zeroed;
+  net.sweep_binary(c, slot, mc);
 }
 
 int PramParser::parallel_consistency_step(Network& net,
                                           pram::Machine& m) const {
-  net.build_arcs();
   const int R = net.num_roles();
   net.refresh_alive_cache();
   // Support of every alive role value, all computed from the pre-sweep
   // state.  On the CRCW machine this is: one step of concurrent-write
   // ORs over each row/column (O(n^2) cells per role value), one step of
   // ANDs — constant time with one processor per arc element.  Host-side
-  // the same bits come from the word-parallel support masks (one
-  // arena-scratch row per role, all filled before any elimination).
+  // the same bits come from the network's synchronous sweep.
   const std::size_t or_procs =
       net.alive_cache_total() * static_cast<std::size_t>(R - 1) *
       static_cast<std::size_t>(net.domain_size());
   m.for_all(std::max<std::size_t>(or_procs, 1), [](std::size_t) {});
   m.for_all(std::max<std::size_t>(net.alive_cache_total(), 1),
             [](std::size_t) {});
-  for (int role = 0; role < R; ++role) net.support_mask(role);
   // One zeroing step for all victims simultaneously.
   m.for_all(std::max<std::size_t>(or_procs, 1), [](std::size_t) {});
-  int eliminated = 0;
-  std::vector<int> victims;
-  for (int role = 0; role < R; ++role) {
-    // Extract victims from the pre-state mask before eliminate_batch
-    // clobbers this role's scratch row.
-    victims.clear();
-    const util::ConstBitSpan sup =
-        static_cast<const cdg::NetworkArena&>(net.arena())
-            .support_scratch(role);
-    net.domain(role).for_each([&](std::size_t rv) {
-      if (!sup.test(rv)) victims.push_back(static_cast<int>(rv));
-    });
-    eliminated += net.eliminate_batch(role, victims);
-  }
-  return eliminated;
+  return net.synchronous_sweep(&net.counters().support_checks);
 }
 
 PramResult PramParser::parse(Network& net, const cdg::CancelFn& cancel) const {

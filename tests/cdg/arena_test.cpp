@@ -1,11 +1,11 @@
-// NetworkArena layout and reuse: one allocation, region sizes that are
-// pure functions of the shape, compact arcs laid out over the values
-// alive at compact(), O(1) same-shape reinit (paper §2.2.1's
+// NetworkArena layout and reuse: a shape region whose sizes are pure
+// functions of the shape, a pair region laid out over the values alive at
+// compact() and sized from them, O(1) same-shape reinit (paper §2.2.1's
 // fixed-offset PE-array layout, hosted).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <set>
+#include <stdexcept>
 
 #include "cdg/arena.h"
 #include "cdg/network.h"
@@ -17,6 +17,16 @@ namespace {
 using namespace parsec;
 using cdg::NetworkArena;
 
+/// Sets exactly the first `alive` values of each role's domain.
+void set_alive(NetworkArena& a, std::initializer_list<int> alive) {
+  int r = 0;
+  for (int k : alive) {
+    a.domain(r).reset_all();
+    for (int rv = 0; rv < k; ++rv) a.domain(r).set(static_cast<std::size_t>(rv));
+    ++r;
+  }
+}
+
 TEST(NetworkArena, ShapeAndRegionSizes) {
   NetworkArena a(6, 70);  // D > 64 exercises the two-word stride
   EXPECT_EQ(a.roles(), 6);
@@ -24,26 +34,55 @@ TEST(NetworkArena, ShapeAndRegionSizes) {
   EXPECT_EQ(a.row_words(), 2u);
   // Domain rows pad to a whole cache line.
   EXPECT_EQ(a.aligned_row_words(), NetworkArena::kAlignWords);
-  EXPECT_EQ(a.num_arcs(), 15u);  // 6*5/2
   EXPECT_EQ(a.domains_bytes(),
             6u * NetworkArena::kAlignWords * sizeof(NetworkArena::Word));
-  // No axis capacities given: every role may hold all D values, so each
-  // compact arc can grow to D rows of ceil(D / 64) words.
+  // No axis capacities given: every role may hold all D values.  The
+  // pair region waits for compact(), when the survivors are known.
   EXPECT_EQ(a.axis_capacity(0), 70);
-  EXPECT_EQ(a.arcs_bytes(), 15u * 70 * 2 * sizeof(NetworkArena::Word));
-  EXPECT_GE(a.bytes(), a.domains_bytes() + a.arcs_bytes());
+  EXPECT_EQ(a.pairs_bytes(), 0u);
+  EXPECT_GE(a.bytes(), a.domains_bytes());
   EXPECT_EQ(a.allocations(), 1u);
   EXPECT_EQ(a.reinits(), 0u);
 }
 
 TEST(NetworkArena, AxisCapacitiesSizeTheCompactRegion) {
-  // Capacities 3, 70, 130: arc (a, b) reserves cap_a rows of
-  // ceil(cap_b / 64) words.
+  // Capacities 3, 70, 130: the worst case is 203 values, 4 words per
+  // row, well under 1 MB, so compact() reserves it whole.
   const int caps[] = {3, 70, 130};
   NetworkArena a(3, 140, 0, caps);
   EXPECT_EQ(a.axis_capacity(2), 130);
-  EXPECT_EQ(a.arcs_bytes(),
-            (3u * 2 + 3u * 3 + 70u * 3) * sizeof(NetworkArena::Word));
+  set_alive(a, {1, 2, 3});
+  a.compact();
+  EXPECT_EQ(a.pair_values(), 6u);
+  const std::size_t worst_words = (203 + 5) * 4 + (203 * 4 + 7) / 8;
+  EXPECT_EQ(a.pairs_bytes(), worst_words * sizeof(NetworkArena::Word));
+  EXPECT_EQ(a.allocations(), 2u);
+  // A domain past its capacity is a grammar/arena mismatch.
+  a.reinit();
+  set_alive(a, {4, 2, 3});
+  EXPECT_THROW(a.compact(), std::logic_error);
+}
+
+TEST(NetworkArena, PairRegionGrowsFromTheSurvivorsOnly) {
+  // Worst case 8000 values (8 MB of matrix): compact() sizes the region
+  // from this sentence's need, max(1 MB, 2 x need), and never shrinks.
+  const int caps[] = {4000, 4000};
+  NetworkArena a(2, 4096, 0, caps);
+  set_alive(a, {10, 10});
+  a.compact();
+  EXPECT_EQ(a.pairs_bytes(), NetworkArena::kMinPairBytes);
+  EXPECT_EQ(a.allocations(), 2u);
+  a.reinit();
+  set_alive(a, {2000, 2000});
+  a.compact();
+  const std::size_t need = (4000 + 5) * 63 + 4000 * 4 / 8;
+  EXPECT_EQ(a.pairs_bytes(), 2 * need * sizeof(NetworkArena::Word));
+  EXPECT_EQ(a.allocations(), 3u);
+  a.reinit();
+  set_alive(a, {10, 10});
+  a.compact();
+  EXPECT_EQ(a.pairs_bytes(), 2 * need * sizeof(NetworkArena::Word));
+  EXPECT_EQ(a.allocations(), 3u);
 }
 
 TEST(NetworkArena, CompactAxesFollowTheAliveValues) {
@@ -56,20 +95,21 @@ TEST(NetworkArena, CompactAxesFollowTheAliveValues) {
   }
   a.compact();
   ASSERT_TRUE(a.compacted());
+  EXPECT_EQ(a.pair_values(), 5u);
   EXPECT_EQ(a.axis(0).size(), 3u);
   EXPECT_EQ(a.axis(0)[1], 40);
   EXPECT_EQ(a.axis(1).size(), 2u);
   EXPECT_TRUE(a.axis(2).empty());
-  EXPECT_EQ(a.compact_id(0, 99), 2);
-  EXPECT_EQ(a.compact_id(1, 65), 1);
-  EXPECT_EQ(a.compact_id(1, 64), -1);
-  // Arcs start all ones over alive x alive; an empty side has no bits.
-  EXPECT_EQ(a.arc(0, 1).rows(), 3u);
-  EXPECT_EQ(a.arc(0, 1).cols(), 2u);
-  EXPECT_EQ(a.arc(0, 1).count(), 6u);
-  EXPECT_EQ(a.arc(0, 2).count(), 0u);
-  EXPECT_EQ(a.arc(1, 2).rows(), 2u);
-  EXPECT_EQ(a.arc(1, 2).count(), 0u);
+  EXPECT_EQ(a.pair_index(0, 99), 2);
+  EXPECT_EQ(a.pair_index(1, 65), 4);  // role 1's block starts at 3
+  EXPECT_EQ(a.pair_index(1, 64), -1);
+  // The matrix starts all ones between distinct roles: the 3 x 2 block
+  // of roles 0 and 1, mirrored; an empty role has no bits.
+  EXPECT_EQ(a.pairs().rows(), 5u);
+  EXPECT_EQ(a.pairs().count(), 12u);
+  EXPECT_FALSE(a.pairs().test(0, 1));  // same role
+  EXPECT_TRUE(a.pairs().test(0, 3));
+  EXPECT_TRUE(a.pairs().test(3, 0));
   a.reinit();
   EXPECT_FALSE(a.compacted());
 }
@@ -83,26 +123,24 @@ TEST(NetworkArena, AlignedRowsStartOnCacheLines) {
   };
   for (int r = 0; r < 5; ++r) {
     EXPECT_TRUE(aligned(a.domain(r).words())) << "domain " << r;
-    EXPECT_TRUE(aligned(a.support_scratch(r).words())) << "scratch " << r;
     for (std::size_t s = 0; s < a.mask_slots(); ++s)
       EXPECT_TRUE(aligned(a.mask(s, r).words())) << "mask " << s << "," << r;
   }
 }
 
-TEST(NetworkArena, ArcIndexIsRowMajorUpperTriangleBijection) {
+TEST(NetworkArena, RoleBlocksPartitionThePairAxis) {
   NetworkArena a(5, 8);
-  std::set<std::size_t> seen;
+  set_alive(a, {3, 0, 8, 1, 0});
+  a.compact();
   std::size_t expect = 0;
-  for (int ra = 0; ra < 5; ++ra)
-    for (int rb = ra + 1; rb < 5; ++rb) {
-      const std::size_t idx = a.arc_index(ra, rb);
-      EXPECT_EQ(idx, expect++);  // row-major order
-      EXPECT_TRUE(seen.insert(idx).second) << ra << "," << rb;
-      const auto [pa, pb] = a.arc_pair(idx);  // inverse
-      EXPECT_EQ(pa, ra);
-      EXPECT_EQ(pb, rb);
-    }
-  EXPECT_EQ(seen.size(), a.num_arcs());
+  for (int r = 0; r < 5; ++r) {
+    EXPECT_EQ(a.block_begin(r), expect) << r;  // role order, no gaps
+    expect = a.block_end(r);
+    for (std::size_t v = a.block_begin(r); v < a.block_end(r); ++v)
+      EXPECT_EQ(a.role_of(v), r) << v;  // inverse
+  }
+  EXPECT_EQ(expect, a.pair_values());
+  EXPECT_EQ(a.pair_values(), 12u);
 }
 
 TEST(NetworkArena, SpansAndViewsAddressDisjointStorage) {
@@ -116,35 +154,29 @@ TEST(NetworkArena, SpansAndViewsAddressDisjointStorage) {
     d.reset_all();
     d.set(static_cast<std::size_t>(r));
   }
-  for (std::size_t t = 0; t < a.num_arcs(); ++t) {
-    auto m = a.arc(t);
-    m.reset_all();
-    m.set(t % 10, (t + 1) % 10);
-  }
+  auto m = a.pairs();
+  m.reset_all();
+  for (std::size_t v = 0; v < m.rows(); ++v) m.set(v, (v + 1) % m.cols());
   for (auto& f : a.rv_flags()) f = 3;
-  for (int r = 0; r < 4; ++r) {
+  for (int r = 0; r < 4; ++r)
     for (std::size_t s = 0; s < a.mask_slots(); ++s) a.mask(s, r).set_all();
-    a.support_scratch(r).reset_all();
-    for (int p = 0; p < NetworkArena::kMaskParts; ++p)
-      a.compact_mask(p, r).set_all();
-    a.compact_scratch(r).reset_all();
-  }
+  for (int p = 0; p < NetworkArena::kMaskParts; ++p) a.pair_mask(p).set_all();
+  a.pair_scratch().reset_all();
 
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(a.domain(r).count(), 1u);
     EXPECT_TRUE(a.domain(r).test(static_cast<std::size_t>(r)));
     EXPECT_EQ(a.axis(r).size(), 10u);  // the axis outlives domain writes
+    EXPECT_EQ(a.axis(r)[9], 9);
     for (std::size_t s = 0; s < a.mask_slots(); ++s)
       EXPECT_EQ(a.mask(s, r).count(), 10u);
-    EXPECT_EQ(a.support_scratch(r).count(), 0u);
-    for (int p = 0; p < NetworkArena::kMaskParts; ++p)
-      EXPECT_EQ(a.compact_mask(p, r).count(), 10u);
-    EXPECT_EQ(a.compact_scratch(r).count(), 0u);
   }
-  for (std::size_t t = 0; t < a.num_arcs(); ++t) {
-    EXPECT_EQ(a.arc(t).count(), 1u) << "arc " << t;
-    EXPECT_TRUE(a.arc(t).test(t % 10, (t + 1) % 10));
-  }
+  for (int p = 0; p < NetworkArena::kMaskParts; ++p)
+    EXPECT_EQ(a.pair_mask(p).count(), 40u);
+  EXPECT_EQ(a.pair_scratch().count(), 0u);
+  EXPECT_EQ(m.count(), 40u);
+  for (std::size_t v = 0; v < m.rows(); ++v)
+    EXPECT_TRUE(m.test(v, (v + 1) % m.cols()));
   for (auto f : a.rv_flags()) EXPECT_EQ(f, 3);
 }
 
@@ -188,10 +220,12 @@ TEST(NetworkArenaReuse, NetworkReinitIsAllocationFreeAndBitIdentical) {
   cdg::Sentence s2 = bundle.tag("a compiler halts");
 
   cdg::Network net = parser.make_network(s1);
-  const std::uint64_t allocs = net.arena().allocations();
   parser.parse(net);
   net.filter();
   EXPECT_TRUE(net.check_invariants());
+  // Shape region at construction, pair region at the first compact().
+  const std::uint64_t allocs = net.arena().allocations();
+  EXPECT_EQ(allocs, 2u);
 
   // Fresh-network reference for the second sentence.
   cdg::Network ref = parser.make_network(s2);
@@ -207,10 +241,7 @@ TEST(NetworkArenaReuse, NetworkReinitIsAllocationFreeAndBitIdentical) {
   EXPECT_TRUE(net.check_invariants());
   for (int r = 0; r < net.num_roles(); ++r)
     EXPECT_EQ(ref.domain(r), net.domain(r)) << "role " << r;
-  for (int a = 0; a < net.num_roles(); ++a)
-    for (int b = a + 1; b < net.num_roles(); ++b)
-      EXPECT_TRUE(ref.arc_matrix(a, b) == net.arc_matrix(a, b))
-          << "arc " << a << "," << b;
+  EXPECT_TRUE(ref.pair_matrix() == net.pair_matrix());
 
   // Different length: reinit must refuse (shape change).
   EXPECT_FALSE(net.reinit(bundle.tag("The dog")));

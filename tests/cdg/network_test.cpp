@@ -58,11 +58,16 @@ TEST_F(NetworkTest, NoSelfModification) {
 
 TEST_F(NetworkTest, ArcCountIsRChoose2) {
   Network net = make("The program runs");
-  // 6 roles -> 15 arcs; every pair queryable in both orders.
+  // 6 roles -> 15 arcs, the off-diagonal blocks of the pair matrix: with
+  // 9 values per role, 15 * 81 pairs, each queryable in both orders.
+  EXPECT_EQ(net.arc_ones(), 15u * 9 * 9);
+  EXPECT_EQ(net.pair_matrix().count(), 2 * net.arc_ones());
   int count = 0;
   for (int a = 0; a < net.num_roles(); ++a)
     for (int b = a + 1; b < net.num_roles(); ++b) {
-      (void)net.arc_matrix(a, b);
+      const int i = net.domain(a).find_first();
+      const int j = net.domain(b).find_first();
+      EXPECT_TRUE(net.arc_allows(a, i, b, j) && net.arc_allows(b, j, a, i));
       ++count;
     }
   EXPECT_EQ(count, 15);
@@ -78,6 +83,22 @@ TEST_F(NetworkTest, ArcAllowsSymmetricAccess) {
   net.arc_forbid(rb, j, ra, i);  // reversed order must hit the same bit
   EXPECT_FALSE(net.arc_allows(ra, i, rb, j));
   EXPECT_FALSE(net.arc_allows(rb, j, ra, i));
+}
+
+TEST_F(NetworkTest, ArcForbidChargesOnlyClearedPairs) {
+  Network net = make("The program runs");
+  const int ra = net.role_index(1, 0), rb = net.role_index(2, 0);
+  const int i = net.domain(ra).find_first();
+  const int j = net.domain(rb).find_first();
+  const std::size_t ones = net.arc_ones();
+  net.arc_forbid(ra, i, rb, j);
+  EXPECT_EQ(net.counters().arc_zeroings, 1u);
+  // The pair is already gone: nothing to clear, nothing to charge.
+  net.arc_forbid(ra, i, rb, j);
+  net.arc_forbid(rb, j, ra, i);
+  EXPECT_EQ(net.counters().arc_zeroings, 1u);
+  EXPECT_EQ(net.arc_ones(), ones - 1);
+  EXPECT_TRUE(net.check_invariants());
 }
 
 TEST_F(NetworkTest, EliminateZeroesRowsAndColumns) {
