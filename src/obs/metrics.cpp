@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
@@ -50,6 +51,25 @@ Histogram::Snapshot Histogram::snapshot() const {
 std::vector<double> default_latency_buckets_seconds() {
   return {1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2,
           5e-2, 1e-1, 2e-1, 5e-1, 1.0,  2.0,  5.0};
+}
+
+std::vector<double> log_buckets(double lo, double hi, double ratio) {
+  assert(lo > 0 && ratio > 1);
+  std::vector<double> bounds{lo};
+  while (bounds.back() < hi) bounds.push_back(bounds.back() * ratio);
+  return bounds;
+}
+
+double bucket_quantile(const Histogram::Snapshot& s, double q) {
+  if (s.count == 0 || s.bounds.empty()) return 0.0;
+  const auto rank = static_cast<std::uint64_t>(
+      std::clamp(q, 0.0, 1.0) * static_cast<double>(s.count - 1));
+  std::size_t i = 0;
+  for (std::uint64_t seen = s.buckets[0]; seen <= rank; seen += s.buckets[i])
+    ++i;
+  if (i == 0) return s.bounds.front();
+  if (i == s.bounds.size()) return s.bounds.back();
+  return std::sqrt(s.bounds[i - 1] * s.bounds[i]);
 }
 
 Registry& Registry::global() {

@@ -131,6 +131,18 @@ class Histogram {
 /// Default latency buckets (seconds): 100 µs .. 5 s, roughly 1-2-5.
 std::vector<double> default_latency_buckets_seconds();
 
+/// Bounds growing geometrically by `ratio` from `lo` until one reaches
+/// `hi`.  For any value in [lo, hi], bucket_quantile over such buckets is
+/// within sqrt(ratio) - 1 of it, relatively.
+std::vector<double> log_buckets(double lo, double hi, double ratio);
+
+/// Quantile `q` in [0, 1] of the observations in `s`: the geometric
+/// midpoint of the bucket holding the order statistic of rank
+/// q * (count - 1), or 0 when empty.  The first and the +Inf bucket
+/// read as the outermost finite bound, so callers clamp the estimate to
+/// the observed [min, max].
+double bucket_quantile(const Histogram::Snapshot& s, double q);
+
 /// Labels as (key, value) pairs in render order.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 

@@ -1,5 +1,6 @@
 #include "serve/parse_service.h"
 
+#include <algorithm>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -969,6 +970,7 @@ void ParseService::record(const ParseResponse& resp,
   if (resp.status == RequestStatus::Timeout) timeouts_total_->inc();
   queue_wait_seconds_->observe(resp.queue_seconds);
   queue_depth_gauge_->set(static_cast<double>(pool_->queue_depth()));
+  latency_buckets_.observe(total_seconds);
   std::lock_guard lock(stats_mutex_);
   ++completed_;
   if (resp.accepted) ++accepted_;
@@ -986,7 +988,6 @@ void ParseService::record(const ParseResponse& resp,
       break;
   }
   latency_.add(total_seconds);
-  quantiles_.add(total_seconds);
   for (const Attempt& a : attempts)
     backend_stats_[static_cast<std::size_t>(a.backend)] += a.delta;
 }
@@ -1007,6 +1008,7 @@ ServiceStats ParseService::stats() const {
   if (idem_cache_) s.idempotency = idem_cache_->stats();
   std::uint64_t trips = 0;
   for (const auto& b : breakers_) trips += b.trips();
+  const obs::Histogram::Snapshot latency = latency_buckets_.snapshot();
   std::lock_guard lock(stats_mutex_);
   s.submitted = submitted_;
   s.completed = completed_;
@@ -1029,9 +1031,15 @@ ServiceStats ParseService::stats() const {
           : 0.0;
   s.latency_mean_ms = latency_.mean() * 1e3;
   s.latency_max_ms = latency_.max() * 1e3;
-  s.latency_p50_ms = quantiles_.p50() * 1e3;
-  s.latency_p95_ms = quantiles_.p95() * 1e3;
-  s.latency_p99_ms = quantiles_.p99() * 1e3;
+  // Within 5% of the exact order statistic (ratio-1.1 buckets).
+  const auto percentile_ms = [&](double q) {
+    return std::clamp(obs::bucket_quantile(latency, q), latency_.min(),
+                      latency_.max()) *
+           1e3;
+  };
+  s.latency_p50_ms = percentile_ms(0.50);
+  s.latency_p95_ms = percentile_ms(0.95);
+  s.latency_p99_ms = percentile_ms(0.99);
   for (std::size_t i = 0; i < engine::kNumBackends; ++i)
     s.backends[i] = backend_stats_[i];
   return s;

@@ -453,8 +453,10 @@ class ParseService {
   std::uint64_t watchdog_stalls_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t batched_requests_ = 0;
-  util::Stats latency_;        // seconds, submission -> completion
-  util::Quantiles quantiles_;  // same samples, percentile view
+  util::Stats latency_;  // seconds, submission -> completion
+  // The same samples, log-bucketed for the percentiles: observed
+  // lock-free, O(buckets) to read however long the service has run.
+  obs::Histogram latency_buckets_{obs::log_buckets(1e-7, 1e3, 1.1)};
   engine::BackendStats backend_stats_[engine::kNumBackends];
 };
 

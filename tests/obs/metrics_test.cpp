@@ -2,12 +2,15 @@
 // text-format checks, and the StatsPublisher metric families.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "parsec/backend.h"
+#include "util/rng.h"
 
 namespace parsec::obs {
 namespace {
@@ -70,6 +73,41 @@ TEST(Histogram, MergesObservationsAcrossThreads) {
   EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * kObsPerThread);
   EXPECT_EQ(s.buckets[0], s.count);
   EXPECT_NEAR(s.sum, 0.5 * static_cast<double>(s.count), 1e-6);
+}
+
+// The service's latency percentiles come from ratio-1.1 log buckets:
+// over 1M samples each estimate stays within the bucket error (under 5%)
+// of the exact order statistic, and the percentiles stay ordered.
+TEST(Histogram, LogBucketQuantilesStayWithinTheBucketError) {
+  const double ratio = 1.1;
+  obs::Histogram h(obs::log_buckets(1e-7, 1e3, ratio));
+  util::Rng rng(1992);
+  std::vector<double> xs;
+  xs.reserve(1'000'000);
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Log-uniform from 10 µs to 1 s, with a 1% tail out to 100 s.
+    const double decades = rng.next_bool(0.01) ? 7.0 : 5.0;
+    const double x = 1e-5 * std::pow(10.0, decades * rng.next_double());
+    xs.push_back(x);
+    h.observe(x);
+  }
+  std::sort(xs.begin(), xs.end());
+  const obs::Histogram::Snapshot snap = h.snapshot();
+  ASSERT_EQ(snap.count, xs.size());
+  const double tol = std::sqrt(ratio) - 1;
+  ASSERT_LT(tol, 0.05);
+  double prev = 0.0;
+  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+    const double exact =
+        xs[static_cast<std::size_t>(q * static_cast<double>(xs.size() - 1))];
+    const double est =
+        std::clamp(obs::bucket_quantile(snap, q), xs.front(), xs.back());
+    EXPECT_LE(std::abs(est - exact), tol * exact * (1 + 1e-9)) << "q=" << q;
+    EXPECT_LE(prev, est) << "q=" << q;
+    prev = est;
+  }
+  EXPECT_LE(prev, xs.back());
+  EXPECT_EQ(obs::bucket_quantile(obs::Histogram::Snapshot{}, 0.5), 0.0);
 }
 
 TEST(Registry, SameNameAndLabelsReturnsSameHandle) {
