@@ -47,8 +47,8 @@ void NetworkArena::reshape(int roles, int domain_size, std::size_t mask_slots,
   const std::size_t R = static_cast<std::size_t>(R_);
   const std::size_t D = static_cast<std::size_t>(D_);
   stride_ = ceil_div(D, kWordBits);
-  // Domain and mask rows are padded to whole cache lines (the pad words
-  // stay zero: spans are sized by D and never write past word_count()).
+  // Domain rows are padded to whole cache lines (the pad words stay
+  // zero: spans are sized by D and never write past word_count()).
   dstride_ = round_up(stride_, kAlignWords);
 
   cap_.assign(R, D_);
@@ -66,7 +66,7 @@ void NetworkArena::reshape(int roles, int domain_size, std::size_t mask_slots,
   const std::size_t flags_w = ceil_div(R * D, sizeof(Word));
   flags_off_ = domains_w;
   masks_off_ = round_up(flags_off_ + flags_w, kAlignWords);
-  const std::size_t total = masks_off_ + mask_slots_ * R * dstride_;
+  const std::size_t total = masks_off_ + mask_slots_ * R * stride_;
 
   // Slack so base() can be bumped to the next 64-byte boundary
   // (std::vector only guarantees alignof(Word) = 8).

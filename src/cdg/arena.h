@@ -71,9 +71,10 @@ class NetworkArena {
  public:
   using Word = util::DynBitset::Word;
   static constexpr std::size_t kWordBits = util::DynBitset::kWordBits;
-  /// Domain and mask rows start on cache-line boundaries: the shape
-  /// region's base is padded to 64 bytes and those rows use a stride
-  /// rounded up to 8 words.
+  /// Domain rows start on cache-line boundaries: the shape region's
+  /// base is padded to 64 bytes and domain rows use a stride rounded up
+  /// to 8 words.  Mask rows keep the natural stride: they are one to
+  /// five words up to n = 24, so padding would double the mask region.
   static constexpr std::size_t kRowAlignBytes = 64;
   static constexpr std::size_t kAlignWords = kRowAlignBytes / sizeof(Word);
   /// Pair mask rows (the four hoisted parts of one binary constraint:
@@ -113,10 +114,10 @@ class NetworkArena {
   // ---- shape ----------------------------------------------------------
   int roles() const { return R_; }
   int domain_size() const { return D_; }
-  /// Words per dense domain row (natural stride, ceil(D / 64)).
+  /// Words per dense domain or mask row (natural stride, ceil(D / 64)).
   std::size_t row_words() const { return stride_; }
-  /// Words per domain / mask row (padded to a multiple of kAlignWords;
-  /// the pad words stay zero).
+  /// Words per domain row (padded to a multiple of kAlignWords; the pad
+  /// words stay zero).
   std::size_t aligned_row_words() const { return dstride_; }
 
   // ---- domains --------------------------------------------------------
@@ -231,7 +232,7 @@ class NetworkArena {
   /// Capacity of the pair region.
   std::size_t pairs_bytes() const { return pairs_.capacity() * sizeof(Word); }
   std::size_t masks_bytes() const {
-    return mask_slots_ * static_cast<std::size_t>(R_) * dstride_ * sizeof(Word);
+    return mask_slots_ * static_cast<std::size_t>(R_) * stride_ * sizeof(Word);
   }
 
  private:
@@ -253,7 +254,7 @@ class NetworkArena {
     return masks_off_ +
            (slot * static_cast<std::size_t>(R_) +
             static_cast<std::size_t>(role)) *
-               dstride_;
+               stride_;
   }
   /// Word offset of pair-region row `k` after the matrix: the four
   /// masks, then the scratch row, then the axis.
@@ -264,7 +265,7 @@ class NetworkArena {
   int R_ = 0;
   int D_ = 0;
   std::size_t stride_ = 0;   // words per dense domain row
-  std::size_t dstride_ = 0;  // words per domain/mask row (padded)
+  std::size_t dstride_ = 0;  // words per domain row (padded)
   std::size_t base_pad_ = 0;  // words from buf_.data() to the aligned base
   std::size_t mask_slots_ = 0;
   // Shape-region offsets, in words from base() (the 64-byte-aligned
