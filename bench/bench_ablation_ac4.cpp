@@ -24,7 +24,7 @@ int main() {
       << "support-based elimination happens in the filtering phase)\n"
       << "==============================================================\n\n";
 
-  util::Table t({"n", "sweeps", "sweep filter s", "ac4 filter s",
+  util::Table t({"n", "sweeps", "sweep filter us", "ac4 filter us",
                  "ac4 decrements", "eliminations", "equal"});
   grammars::SentenceGenerator gen(bundle, bench::kSeed);
   for (int n = 6; n <= 22; n += 4) {
@@ -45,7 +45,7 @@ int main() {
       if (!(a.domain(r) == b.domain(r))) equal = false;
 
     t.add_row({std::to_string(n), std::to_string(sweeps),
-               bench::fmt(t_sweep, "%.4f"), bench::fmt(t_ac4, "%.4f"),
+               bench::fmt(t_sweep * 1e6, "%.1f"), bench::fmt(t_ac4 * 1e6, "%.1f"),
                util::format_value(static_cast<double>(stats.counter_decrements)),
                util::format_value(static_cast<double>(stats.eliminations)),
                equal ? "yes" : "NO"});

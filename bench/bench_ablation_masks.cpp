@@ -15,7 +15,7 @@
 // Also reports the fraction of surviving pairs the masks decide
 // without a VM dispatch (the number that makes the ≥2x fixpoint
 // speedup mechanical).  The single-sentence sweeps run the scalar mask
-// expression on compact arc rows, so the SIMD dispatch tier does not
+// expression on pair-matrix rows, so the SIMD dispatch tier does not
 // apply here; bench_throughput prices the tiers on the SoA batch.
 // Writes BENCH_ablation_masks.json; the CI perf-smoke job uploads it as
 // an artifact.

@@ -23,7 +23,7 @@ namespace parsec::cdg {
 using CancelFn = std::function<bool()>;
 
 struct ParseOptions {
-  /// Build the arc matrices before unary propagation, over the full
+  /// Build the pair matrix before unary propagation, over the full
   /// initial domains, rather than on first binary constraint (see
   /// NetworkOptions::prebuild_arcs).
   bool prebuild_arcs = false;

@@ -3,7 +3,7 @@
 // The masked binary sweep is Boolean matrix work: per arc row it
 // evaluates eight AND/ANDN/OR terms over the partner-side truth-mask
 // words and folds the results into kill/keep/undecided words.  A
-// single sentence's compact arc rows are one or two words wide, so
+// single sentence's pair-matrix rows are one to three words wide, so
 // cdg/kernels.cpp runs that expression scalar, without a dispatch; the
 // SoA batch (cdg/batch.h), whose rows interleave eight sentences, runs
 // it through this table.  That inner loop is the host-side counterpart

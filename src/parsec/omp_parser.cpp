@@ -45,20 +45,6 @@ void OmpParser::apply_unary(Network& net, const FactoredConstraint& c) const {
   }
 }
 
-void OmpParser::apply_binary(Network& net, const FactoredConstraint& c,
-                             std::size_t slot) const {
-  // One pass over the pair matrix; this engine reports work through
-  // wall-clock, so only the sweep bookkeeping is charged.
-  cdg::kernels::MaskedCounters mc;
-  mc.tile_sweeps = &net.counters().tile_sweeps;
-  mc.lane_words = &net.counters().simd_lane_words;
-  net.sweep_binary(c, slot, mc);
-}
-
-int OmpParser::consistency_sweep(Network& net) const {
-  return net.synchronous_sweep(nullptr);
-}
-
 OmpParser::OmpParser(const cdg::Grammar& g, OmpOptions opt)
     : grammar_(&g),
       opt_(opt),
@@ -83,12 +69,17 @@ OmpResult OmpParser::parse(Network& net, const cdg::CancelFn& cancel) const {
   }
   {
     obs::Span span("omp.binary");
+    // One pass over the pair matrix per constraint; this engine reports
+    // work through wall-clock, so only the sweep bookkeeping is charged.
+    cdg::kernels::MaskedCounters mc;
+    mc.tile_sweeps = &net.counters().tile_sweeps;
+    mc.lane_words = &net.counters().simd_lane_words;
     for (std::size_t i = 0; !r.cancelled && i < binary_.size(); ++i) {
       if (resil::checkpoint(cancel)) {
         r.cancelled = true;
         break;
       }
-      apply_binary(net, binary_[i], i);
+      net.sweep_binary(binary_[i], i, mc);
     }
   }
   int iters = 0;
@@ -101,7 +92,7 @@ OmpResult OmpParser::parse(Network& net, const cdg::CancelFn& cancel) const {
         break;
       }
       ++iters;
-      if (consistency_sweep(net) == 0) break;
+      if (net.synchronous_sweep(nullptr) == 0) break;
     }
     span.arg("iterations", iters);
   }

@@ -40,14 +40,8 @@ class OmpParser {
   /// filtering sweep — so a fired deadline aborts within one phase.
   OmpResult parse(cdg::Network& net, const cdg::CancelFn& cancel = {}) const;
 
-  /// One synchronous consistency sweep (pre-state support); returns
-  /// role values eliminated.
-  int consistency_sweep(cdg::Network& net) const;
-
  private:
   void apply_unary(cdg::Network& net, const cdg::FactoredConstraint& c) const;
-  void apply_binary(cdg::Network& net, const cdg::FactoredConstraint& c,
-                    std::size_t slot) const;
 
   const cdg::Grammar* grammar_;
   OmpOptions opt_;

@@ -183,8 +183,8 @@ TEST(BackendFuzz, MaskedAndPlainSerialBitIdenticalOnFuzzCorpus) {
   }
 }
 
-// AC-4 leaves its support counters equal to the live supports on the
-// compact arcs at the fixpoint, and the network structurally sound.
+// AC-4 leaves its support counters equal to the live supports in the
+// pair matrix at the fixpoint, and the network structurally sound.
 TEST(BackendFuzz, Ac4CountersMatchMatricesAtFixpoint) {
   auto bundle = grammars::make_toy_grammar();
   cdg::SequentialParser parser(bundle.grammar);
