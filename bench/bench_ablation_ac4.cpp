@@ -45,7 +45,8 @@ int main() {
       if (!(a.domain(r) == b.domain(r))) equal = false;
 
     t.add_row({std::to_string(n), std::to_string(sweeps),
-               bench::fmt(t_sweep * 1e6, "%.1f"), bench::fmt(t_ac4 * 1e6, "%.1f"),
+               bench::fmt(t_sweep * 1e6, "%.1f"),
+               bench::fmt(t_ac4 * 1e6, "%.1f"),
                util::format_value(static_cast<double>(stats.counter_decrements)),
                util::format_value(static_cast<double>(stats.eliminations)),
                equal ? "yes" : "NO"});

@@ -2,8 +2,9 @@
 // (§2.2), the arena-backed host CN's footprint and region breakdown after
 // one cold parse per length (n = 4..24, and 32, 64 and 128 beyond the
 // pair region's 1 MB floor), and allocation behaviour of the pooled
-// steady state (cold first parse allocates the arena once; warm
-// same-shape parses must be allocation-free).  Writes BENCH_memory.json.
+// steady state (a cold first parse allocates each arena region once;
+// warm same-shape parses must be allocation-free).  Writes
+// BENCH_memory.json.
 //
 // Usage: bench_memory [--json PATH]
 #include <atomic>

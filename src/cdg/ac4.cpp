@@ -60,7 +60,8 @@ Ac4Stats filter_ac4(Network& net, Ac4Scratch& s) {
   const util::ConstBitMatrixView m = net.pair_matrix();
   for (std::size_t v = 0; v < V; ++v) {
     stats.initial_count_work += m.row_word_count();
-    m.row_span(v).for_each([&](std::size_t u) { ++s.counts[v * R + s.role_of[u]]; });
+    m.row_span(v).for_each(
+        [&](std::size_t u) { ++s.counts[v * R + s.role_of[u]]; });
   }
 
   // FIFO elimination queue.  Each value is enqueued at most once (the

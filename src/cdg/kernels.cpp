@@ -1,8 +1,6 @@
 #include "cdg/kernels.h"
 
-#include <algorithm>
 #include <bit>
-#include <utility>
 
 namespace parsec::cdg::kernels {
 
@@ -323,8 +321,7 @@ int sweep_binary_masked(NetworkArena& a, const FactoredConstraint& c,
       words += W - w0;
       for (std::size_t w = w0; w < W; ++w) {
         // Columns of later roles only: each pair is read from one side.
-        const Word r = w == w0 ? row[w] & ~((Word{1} << (hi % kWordBits)) - 1)
-                               : row[w];
+        const Word r = row[w] & run_bits(hi, V, w);
         if (!r) continue;
         // Direction 1 (x = row value, y = partner value u): known
         // satisfied iff the antecedent is falsified by a hoisted part, or
@@ -338,7 +335,8 @@ int sweep_binary_masked(NetworkArena& a, const FactoredConstraint& c,
         const Word f2 = f2c & AX[w] & (~CX[w] | ncy);
         const Word kill = f1 | f2;
         const Word und = r & ~kill & ~(t1 & t2);
-        masked += static_cast<std::size_t>(std::popcount(r) - std::popcount(und));
+        masked +=
+            static_cast<std::size_t>(std::popcount(r) - std::popcount(und));
         Word dead = r & kill;
         if (apply_residual && und) {
           // Residual: the bytecode VM decides what the masks left open.

@@ -67,11 +67,11 @@ void zero_rows_cols(NetworkArena& a, std::span<const int> vids);
 /// incident arc still has a supporting 1-bit for it (paper §1.4).
 bool supported(const NetworkArena& a, int role, std::size_t v);
 
-/// Support of every pair-axis value, into `sup` (|V| bits): bit v is set iff row v meets every block but its own, the
-/// rows of M·B ANDed over roles.  M is symmetric, so the values that
-/// meet role r's block are the OR of that block's rows: one OR-fold per
-/// role, |V| + R row reads in all.  Dead values (zero rows) read 0
-/// unless R = 1.
+/// Support of every pair-axis value, into `sup` (|V| bits): bit v is
+/// set iff row v meets every block but its own, the rows of M·B ANDed
+/// over roles.  M is symmetric, so the values that meet role r's block
+/// are the OR of that block's rows: one OR-fold per role, |V| + R row
+/// reads in all.  Dead values (zero rows) read 0 unless R = 1.
 void support_all(const NetworkArena& a, util::BitSpan sup);
 
 /// Re-reads role `role`'s term of support_all into `sup` (ANDs in the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <utility>
 
 #include "cdg/kernels.h"
 #include "obs/trace.h"

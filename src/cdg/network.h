@@ -188,9 +188,10 @@ class Network {
   /// pair axis, role blocks in role order (NetworkArena::block_begin).
   util::ConstBitMatrixView pair_matrix() const { return arena_.pairs(); }
 
-  /// Whether role values (ra, rv_a) and (rb, rv_b) may coexist, on the
-  /// dense rv axis: before the arcs exist, iff both are alive; after,
-  /// the arc bit (false for a value that was dead when they were built).
+  /// Whether role values (ra, rv_a) and (rb, rv_b) of distinct roles may
+  /// coexist, on the dense rv axis: before the arcs exist, iff both are
+  /// alive; after, the pair's bit (false for a value that was dead when
+  /// they were built).
   bool arc_allows(int ra, int rv_a, int rb, int rv_b) const;
   /// Clears one pair (building the arcs first if needed); arc_zeroings
   /// is charged only when the pair was still set.

@@ -22,7 +22,8 @@ void set_alive(NetworkArena& a, std::initializer_list<int> alive) {
   int r = 0;
   for (int k : alive) {
     a.domain(r).reset_all();
-    for (int rv = 0; rv < k; ++rv) a.domain(r).set(static_cast<std::size_t>(rv));
+    for (int rv = 0; rv < k; ++rv)
+      a.domain(r).set(static_cast<std::size_t>(rv));
     ++r;
   }
 }
@@ -128,7 +129,8 @@ TEST(NetworkArena, AlignedRowsStartOnCacheLines) {
   EXPECT_TRUE(aligned(a.mask(0, 0).words()));
   EXPECT_EQ(a.mask(0, 1).words() - a.mask(0, 0).words(),
             static_cast<std::ptrdiff_t>(a.row_words()));
-  EXPECT_EQ(a.masks_bytes(), 3u * 5 * a.row_words() * sizeof(NetworkArena::Word));
+  EXPECT_EQ(a.masks_bytes(),
+            3u * 5 * a.row_words() * sizeof(NetworkArena::Word));
 }
 
 TEST(NetworkArena, RoleBlocksPartitionThePairAxis) {
