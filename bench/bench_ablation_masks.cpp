@@ -1,24 +1,26 @@
 // Ablation: the vectorized constraint-evaluation layer, decomposed.
 //
-//   plain        one bytecode-VM dispatch per (pair, assignment) — the
+//   plain        one constraint evaluation per (pair, assignment) — the
 //                pre-vectorization evaluation path (use_masks = false);
 //   masked       hoisted-predicate truth masks decide pairs as bitwise
-//                row kernels, residual VM for mask-undecided pairs —
+//                row kernels, the whole constraint decides the
+//                mask-undecided pairs (the residual) —
 //                the default path, bit-identical to plain (ASSERTED:
 //                this binary exits nonzero on any hash divergence);
-//   mask-only    masks without the residual VM — undecided pairs are
+//   mask-only    masks without the residual — undecided pairs are
 //                left alive, so the fixpoint under-approximates plain.
 //                Expected to diverge; reported, not asserted.  Its time
 //                isolates the pure word-kernel cost, and the gap to
-//                `masked` prices the residual dispatches.
+//                `masked` prices the residual evaluations.
 //
 // Also reports the fraction of surviving pairs the masks decide
-// without a VM dispatch (the number that makes the ≥2x fixpoint
+// without an evaluation (the number that makes the ≥2x fixpoint
 // speedup mechanical).  The single-sentence sweeps run the scalar mask
 // expression on pair-matrix rows, so the SIMD dispatch tier does not
 // apply here; bench_throughput prices the tiers on the SoA batch.
 // Writes BENCH_ablation_masks.json; the CI perf-smoke job uploads it as
-// an artifact.
+// an artifact.  Its `binary_vm_evals` and `decided_without_vm` keys
+// keep their names from when a bytecode VM evaluated the residual.
 //
 // Usage: bench_ablation_masks [--json PATH]
 #include <fstream>
@@ -58,17 +60,17 @@ int main(int argc, char** argv) {
 
   // One parse of `s` in the given mode; returns the domains hash.
   auto parse_one = [&](const cdg::SequentialParser& parser,
-                       const cdg::Sentence& s, bool residual_vm,
+                       const cdg::Sentence& s, bool apply_residual,
                        cdg::NetworkCounters& total,
                        std::uint64_t& accepted) -> std::uint64_t {
     cdg::Network net = parser.make_network(s);
-    if (residual_vm) {
+    if (apply_residual) {
       auto r = parser.parse(net);
       accepted += r.accepted;
       total += r.counters;
     } else {
       // The mask-only pipeline: same schedule as SequentialParser::parse
-      // but every binary sweep skips the residual-VM fallback.
+      // but every binary sweep skips the residual.
       parser.run_unary(net);
       const auto& binary = parser.compiled_binary();
       for (std::size_t i = 0; i < binary.size(); ++i) {
@@ -83,7 +85,7 @@ int main(int argc, char** argv) {
   };
 
   auto run_mode = [&](const std::string& name, bool use_masks,
-                      bool residual_vm) {
+                      bool apply_residual) {
     cdg::ParseOptions opt;
     opt.use_masks = use_masks;
     cdg::SequentialParser parser(bundle.grammar, opt);
@@ -94,11 +96,11 @@ int main(int argc, char** argv) {
       cdg::NetworkCounters scratch;
       std::uint64_t acc = 0;
       for (const auto& s : workload)
-        parse_one(parser, s, residual_vm, scratch, acc);
+        parse_one(parser, s, apply_residual, scratch, acc);
     }
     const double secs = bench::time_host([&] {
       for (const auto& s : workload)
-        m.hash ^= parse_one(parser, s, residual_vm, m.counters, m.accepted);
+        m.hash ^= parse_one(parser, s, apply_residual, m.counters, m.accepted);
     });
     m.ms_per_sentence = secs * 1e3 / static_cast<double>(workload.size());
     return m;
@@ -115,11 +117,11 @@ int main(int argc, char** argv) {
 
   std::cout
       << "==============================================================\n"
-      << "Ablation: truth-mask kernels x residual bytecode VM\n"
+      << "Ablation: truth-mask kernels x residual evaluation\n"
       << workload.size() << " English sentences, n = 4..12\n"
       << "==============================================================\n\n";
 
-  util::Table t({"mode", "ms/sentence", "speedup vs plain", "vm evals",
+  util::Table t({"mode", "ms/sentence", "speedup vs plain", "binary evals",
                  "masked pairs", "same fixpoint"});
   for (const ModeResult* m : {&plain, &masked, &mask_only}) {
     t.add_row({m->name, bench::fmt(m->ms_per_sentence, "%.4f"),
@@ -130,7 +132,7 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  std::cout << "\npairs decided without a VM dispatch: "
+  std::cout << "\npairs decided without an evaluation: "
             << bench::fmt(decided * 100.0, "%.2f") << "%\n"
             << "mask-only fixpoint "
             << (mask_only.hash == plain.hash

@@ -1,20 +1,13 @@
-// Implementation ablation: tree-walking constraint interpreter vs the
-// compiled flat-bytecode evaluator vs the vectorized (mask + residual
-// VM) path used in every engine's inner loop.  (All are semantically
-// identical — tested in constraint_eval_test / maskcache_test — and
-// each evaluation is O(1), the property the paper's complexity
-// analysis needs; this bench measures the constant.)  After the
-// Google-Benchmark tables it writes BENCH_constraint_eval.json with a
-// compact self-timed summary of the same comparisons.
+// Implementation timer: the tree-walking constraint interpreter that
+// every engine runs, per unary and per binary evaluation, plus the
+// sequential parse that calls it through the vectorized (mask +
+// residual) path.  Each evaluation is O(1), the property the paper's
+// complexity analysis needs; this bench measures the constant.
+// bench_ablation_masks times the masked path against the plain one.
 //
-// Usage: bench_constraint_eval [--json PATH] [benchmark flags...]
+// Usage: bench_constraint_eval [benchmark flags...]
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <fstream>
-#include <functional>
-#include <iostream>
-#include <string>
 #include <vector>
 
 #include "cdg/constraint_eval.h"
@@ -30,12 +23,6 @@ struct Fixture {
   Fixture() : bundle(grammars::make_english_grammar()) {
     grammars::SentenceGenerator gen(bundle, 99);
     sentence = gen.generate_sentence(12);
-    for (const auto& c : bundle.grammar.unary_constraints())
-      unary.push_back(c);
-    for (const auto& c : bundle.grammar.binary_constraints())
-      binary.push_back(c);
-    unary_cc = cdg::compile_all(unary);
-    binary_cc = cdg::compile_all(binary);
     // A spread of bindings over the sentence.
     for (int pos = 1; pos <= sentence.size(); ++pos)
       for (int lab = 0; lab < bundle.grammar.num_labels(); ++lab)
@@ -47,8 +34,6 @@ struct Fixture {
   }
   grammars::CdgBundle bundle;
   cdg::Sentence sentence;
-  std::vector<cdg::Constraint> unary, binary;
-  std::vector<cdg::CompiledConstraint> unary_cc, binary_cc;
   std::vector<cdg::Binding> bindings;
 };
 
@@ -59,60 +44,33 @@ Fixture& fixture() {
 
 void BM_InterpretUnary(benchmark::State& state) {
   auto& f = fixture();
+  const auto& unary = f.bundle.grammar.unary_constraints();
   cdg::EvalContext ctx;
   ctx.sentence = &f.sentence;
   std::size_t i = 0;
   for (auto _ : state) {
     ctx.x = f.bindings[i % f.bindings.size()];
-    for (const auto& c : f.unary)
+    for (const auto& c : unary)
       benchmark::DoNotOptimize(cdg::eval_constraint(c, ctx));
     ++i;
   }
-  state.SetItemsProcessed(state.iterations() * f.unary.size());
-}
-
-void BM_CompiledUnary(benchmark::State& state) {
-  auto& f = fixture();
-  cdg::EvalContext ctx;
-  ctx.sentence = &f.sentence;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    ctx.x = f.bindings[i % f.bindings.size()];
-    for (const auto& c : f.unary_cc)
-      benchmark::DoNotOptimize(cdg::eval_compiled(c, ctx));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations() * f.unary_cc.size());
+  state.SetItemsProcessed(state.iterations() * unary.size());
 }
 
 void BM_InterpretBinary(benchmark::State& state) {
   auto& f = fixture();
+  const auto& binary = f.bundle.grammar.binary_constraints();
   cdg::EvalContext ctx;
   ctx.sentence = &f.sentence;
   std::size_t i = 0;
   for (auto _ : state) {
     ctx.x = f.bindings[i % f.bindings.size()];
     ctx.y = f.bindings[(i + 7) % f.bindings.size()];
-    for (const auto& c : f.binary)
+    for (const auto& c : binary)
       benchmark::DoNotOptimize(cdg::eval_constraint(c, ctx));
     ++i;
   }
-  state.SetItemsProcessed(state.iterations() * f.binary.size());
-}
-
-void BM_CompiledBinary(benchmark::State& state) {
-  auto& f = fixture();
-  cdg::EvalContext ctx;
-  ctx.sentence = &f.sentence;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    ctx.x = f.bindings[i % f.bindings.size()];
-    ctx.y = f.bindings[(i + 7) % f.bindings.size()];
-    for (const auto& c : f.binary_cc)
-      benchmark::DoNotOptimize(cdg::eval_compiled(c, ctx));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations() * f.binary_cc.size());
+  state.SetItemsProcessed(state.iterations() * binary.size());
 }
 
 void BM_FullParseSequential(benchmark::State& state) {
@@ -127,122 +85,10 @@ void BM_FullParseSequential(benchmark::State& state) {
   }
 }
 
-void BM_FullParseSequentialPlain(benchmark::State& state) {
-  auto& f = fixture();
-  cdg::ParseOptions opt;
-  opt.use_masks = false;  // one VM dispatch per pair, no truth masks
-  cdg::SequentialParser parser(f.bundle.grammar, opt);
-  grammars::SentenceGenerator gen(f.bundle, 5);
-  cdg::Sentence s = gen.generate_sentence(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    cdg::Network net = parser.make_network(s);
-    auto r = parser.parse(net);
-    benchmark::DoNotOptimize(r.accepted);
-  }
-}
-
-double seconds_of(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Self-timed summary for BENCH_constraint_eval.json (the Google
-/// Benchmark tables above are for humans; this compact block is what
-/// CI archives and perf PRs diff).
-void write_json(const std::string& path) {
-  auto& f = fixture();
-  cdg::EvalContext ctx;
-  ctx.sentence = &f.sentence;
-
-  constexpr int kReps = 4000;
-  std::size_t sink = 0;
-  const double interp_secs = seconds_of([&] {
-    for (int i = 0; i < kReps; ++i) {
-      ctx.x = f.bindings[static_cast<std::size_t>(i) % f.bindings.size()];
-      ctx.y = f.bindings[static_cast<std::size_t>(i + 7) % f.bindings.size()];
-      for (const auto& c : f.binary) sink += cdg::eval_constraint(c, ctx);
-    }
-  });
-  const double compiled_secs = seconds_of([&] {
-    for (int i = 0; i < kReps; ++i) {
-      ctx.x = f.bindings[static_cast<std::size_t>(i) % f.bindings.size()];
-      ctx.y = f.bindings[static_cast<std::size_t>(i + 7) % f.bindings.size()];
-      for (const auto& c : f.binary_cc) sink += cdg::eval_compiled(c, ctx);
-    }
-  });
-  const double per_eval = 1e9 / (kReps * static_cast<double>(f.binary.size()));
-
-  // Full-parse comparison, masked vs plain, with the decided-pair
-  // fraction from the counter contract (kernels.h).
-  grammars::SentenceGenerator gen(f.bundle, 5);
-  std::vector<cdg::Sentence> ss;
-  for (int i = 0; i < 8; ++i) ss.push_back(gen.generate_sentence(12));
-  auto run_all = [&](bool masks, cdg::NetworkCounters& total) {
-    cdg::ParseOptions opt;
-    opt.use_masks = masks;
-    cdg::SequentialParser parser(f.bundle.grammar, opt);
-    for (const auto& s : ss) {
-      auto r = parser.parse_sentence(s);
-      total += r.counters;
-    }
-  };
-  cdg::NetworkCounters cm, cp;
-  run_all(true, cm);   // warm
-  run_all(false, cp);  // warm
-  cm = {};
-  cp = {};
-  const double masked_secs = seconds_of([&] { run_all(true, cm); });
-  const double plain_secs = seconds_of([&] { run_all(false, cp); });
-  const double decided =
-      static_cast<double>(cm.masked_binary_pairs) /
-      static_cast<double>(cm.masked_binary_pairs + cm.binary_evals / 2);
-
-  std::ofstream json(path);
-  json << "{\n  \"workload\": \"english n=12, " << f.binary.size()
-       << " binary constraints\",\n";
-  json << "  \"per_eval_ns\": {\"interpreter\": "
-       << interp_secs * per_eval << ", \"compiled_vm\": "
-       << compiled_secs * per_eval << ", \"vm_speedup\": "
-       << interp_secs / compiled_secs << "},\n";
-  json << "  \"full_parse\": {\"sentences\": " << ss.size()
-       << ", \"masked_ms\": " << masked_secs * 1e3
-       << ", \"plain_ms\": " << plain_secs * 1e3
-       << ", \"masked_speedup\": " << plain_secs / masked_secs
-       << ", \"decided_without_vm\": " << decided
-       << ", \"effective_binary_evals_masked\": "
-       << cm.effective_binary_evals()
-       << ", \"binary_evals_plain\": " << cp.binary_evals << "}\n}\n";
-  benchmark::DoNotOptimize(sink);
-  std::cout << "report: " << path << "\n";
-}
-
 }  // namespace
 
 BENCHMARK(BM_InterpretUnary);
-BENCHMARK(BM_CompiledUnary);
 BENCHMARK(BM_InterpretBinary);
-BENCHMARK(BM_CompiledBinary);
 BENCHMARK(BM_FullParseSequential)->Arg(4)->Arg(8)->Arg(12);
-BENCHMARK(BM_FullParseSequentialPlain)->Arg(4)->Arg(8)->Arg(12);
 
-int main(int argc, char** argv) {
-  std::string json_path = "BENCH_constraint_eval.json";
-  // Peel off --json before Google Benchmark sees the flags.
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc)
-      json_path = argv[++i];
-    else
-      rest.push_back(argv[i]);
-  }
-  int rest_argc = static_cast<int>(rest.size());
-  benchmark::Initialize(&rest_argc, rest.data());
-  if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  write_json(json_path);
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -52,7 +52,7 @@ int main() {
   cdg::Constraint instrument = cdg::parse_constraint(bundle.grammar, R"(
       (if (and (eq (lab x) PREP) (not (eq (mod x) nil)))
           (eq (cat (word (mod x))) verb)))");
-  net.apply_unary(cdg::compile_constraint(instrument));
+  net.apply_unary(instrument);
   net.filter();
 
   std::cout << "\nafter the contextual 'instrument' constraint:\n";

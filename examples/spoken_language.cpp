@@ -45,7 +45,7 @@ int main() {
   // Context: careful read speech -> projective structure expected.
   cdg::Constraint proj = cdg::parse_constraint(
       bundle.grammar, grammars::kProjectivityConstraint);
-  net.apply_binary(cdg::compile_constraint(proj));
+  net.apply_binary(proj);
   net.filter();
   report("after 'careful speech' ");
 

@@ -109,7 +109,7 @@ void BatchParser::sweep_constraint(std::span<Network> nets, std::size_t slot,
 
   // Two-phase row tiles of row width sW_ (kLanes words per 64-value
   // word group): one dispatched vector pass stages every undecided
-  // word of the tile, then one residual VM pass drains them.
+  // word of the tile, then one residual pass drains them.
   Word stage[kStageWords];
   Word consts[kMaxSweepTileRows][8][kLanes];
   std::size_t rows_idx[kMaxSweepTileRows];
@@ -209,10 +209,10 @@ void BatchParser::sweep_constraint(std::span<Network> nets, std::size_t slot,
             lane_counters_[b].binary_evals += 2;
             ctx.x = bind_a;
             ctx.y = Binding{ix.decode(static_cast<int>(j)), ridb, wb};
-            bool ok = eval_compiled(c.full, ctx);
+            bool ok = eval_constraint(c.full, ctx);
             if (ok) {
               std::swap(ctx.x, ctx.y);
-              ok = eval_compiled(c.full, ctx);
+              ok = eval_constraint(c.full, ctx);
             }
             if (!ok) {
               row[wt] &= ~(Word{1} << bit);

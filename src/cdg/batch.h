@@ -139,7 +139,7 @@ class BatchParser {
   std::vector<Word> masks_;  // slots * R * 4 interleaved mask rows
   std::vector<Word> vm_;     // one interleaved victim-mask row (scratch)
 
-  // Per-lane parse state for the residual VM and result assembly.
+  // Per-lane parse state for the residual pass and result assembly.
   std::vector<const Sentence*> sents_;
   std::vector<NetworkCounters> lane_counters_;
 

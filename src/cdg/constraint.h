@@ -57,7 +57,7 @@ struct Expr {
   Op op;
   ValueType type = ValueType::Bool;
   int value = 0;               // Var index / ConstSym id / ConstInt value
-  std::vector<Expr> args;
+  std::vector<Expr> args = {};
 
   /// Renders back to the paper's surface syntax (for diagnostics).
   std::string to_string_with(const class Grammar& g) const;

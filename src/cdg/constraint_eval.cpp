@@ -1,8 +1,8 @@
 #include "cdg/constraint_eval.h"
 
-#include <array>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -92,108 +92,13 @@ Value eval_expr(const Expr& e, const EvalContext& ctx) {
 
 }  // namespace
 
+bool holds(const Expr& e, const EvalContext& ctx) {
+  return eval_expr(e, ctx).truth;
+}
+
 bool eval_constraint(const Constraint& c, const EvalContext& ctx) {
   assert(c.root.op == Op::If);
-  return eval_expr(c.root, ctx).truth;
-}
-
-// ---------------------------------------------------------------------
-// Bytecode compiler / stack evaluator
-// ---------------------------------------------------------------------
-
-namespace {
-
-using BOp = CompiledConstraint::BOp;
-using Instr = CompiledConstraint::Instr;
-
-void flatten(const Expr& e, std::vector<Instr>& out) {
-  switch (e.op) {
-    case Op::Lab:
-      out.push_back({BOp::PushLab, e.args[0].value});
-      return;
-    case Op::Mod:
-      out.push_back({BOp::PushMod, e.args[0].value});
-      return;
-    case Op::RoleOf:
-      out.push_back({BOp::PushRole, e.args[0].value});
-      return;
-    case Op::PosOf:
-      out.push_back({BOp::PushPos, e.args[0].value});
-      return;
-    case Op::ConstInt:
-    case Op::ConstSym:
-      out.push_back({BOp::PushConst, e.value});
-      return;
-    case Op::WordAt:
-      flatten(e.args[0], out);
-      out.push_back({BOp::WordAt, 0});
-      return;
-    case Op::CatOf:
-      flatten(e.args[0], out);
-      out.push_back({BOp::CatOf, 0});
-      return;
-    case Op::Not:
-      flatten(e.args[0], out);
-      out.push_back({BOp::Not, 0});
-      return;
-    case Op::Eq:
-    case Op::Gt:
-    case Op::Lt:
-      flatten(e.args[0], out);
-      flatten(e.args[1], out);
-      out.push_back({e.op == Op::Eq   ? BOp::Eq
-                     : e.op == Op::Gt ? BOp::Gt
-                                      : BOp::Lt,
-                     0});
-      return;
-    case Op::And:
-    case Op::Or: {
-      // Short-circuit: after each operand but the last, branch out if
-      // it already decides the result (keeping it as the value).
-      const BOp branch =
-          e.op == Op::And ? BOp::JmpIfFalseKeep : BOp::JmpIfTrueKeep;
-      std::vector<std::size_t> patches;
-      for (std::size_t i = 0; i < e.args.size(); ++i) {
-        flatten(e.args[i], out);
-        if (i + 1 < e.args.size()) {
-          patches.push_back(out.size());
-          out.push_back({branch, 0});
-        }
-      }
-      for (std::size_t p : patches)
-        out[p].arg = static_cast<std::int32_t>(out.size());
-      return;
-    }
-    case Op::If: {
-      flatten(e.args[0], out);
-      const std::size_t patch = out.size();
-      out.push_back({BOp::IfAnte, 0});
-      flatten(e.args[1], out);
-      out[patch].arg = static_cast<std::int32_t>(out.size());
-      return;
-    }
-    case Op::Var:
-      break;
-  }
-  throw std::logic_error("malformed constraint AST (compile)");
-}
-
-}  // namespace
-
-CompiledConstraint compile_constraint(const Constraint& c) {
-  CompiledConstraint cc;
-  cc.arity = c.arity;
-  cc.name = c.name;
-  flatten(c.root, cc.code);
-  return cc;
-}
-
-std::vector<CompiledConstraint> compile_all(
-    const std::vector<Constraint>& cs) {
-  std::vector<CompiledConstraint> out;
-  out.reserve(cs.size());
-  for (const Constraint& c : cs) out.push_back(compile_constraint(c));
-  return out;
+  return holds(c.root, ctx);
 }
 
 // ---------------------------------------------------------------------
@@ -247,108 +152,58 @@ std::vector<const Expr*> conjuncts_of(const Expr& e) {
   return out;
 }
 
-/// Compiles a conjunction of `parts` into a standalone program; empty
-/// input yields an empty program (constant true for eval_hoisted).
-CompiledConstraint compile_conjunction(const std::vector<const Expr*>& parts,
-                                       int arity, const std::string& name) {
-  CompiledConstraint cc;
-  cc.arity = arity;
-  cc.name = name;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    flatten(*parts[i], cc.code);
-    if (i + 1 < parts.size())
-      cc.code.push_back({BOp::JmpIfFalseKeep, 0});
-  }
-  // Patch every inter-conjunct branch to the end of the program.
-  for (auto& in : cc.code)
-    if (in.op == BOp::JmpIfFalseKeep && in.arg == 0)
-      in.arg = static_cast<std::int32_t>(cc.code.size());
-  return cc;
-}
-
 }  // namespace
 
 FactoredConstraint factor_constraint(const Constraint& c) {
   FactoredConstraint f;
-  f.full = compile_constraint(c);
-  f.arity = c.arity;
-  f.name = c.name;
+  f.full = c;
 
-  const auto term_of = [&c](const Expr* e, const VarUse& u, int var) {
-    HoistedTerm t;
-    t.prog = compile_conjunction({e}, c.arity, c.name);
-    t.uses_lab = u.lab_dep[var];
-    t.uses_mod = u.mod_dep[var];
-    t.uses_site = u.site_dep[var];
-    return t;
-  };
-
-  const auto classify = [&](const std::vector<const Expr*>& cs,
-                            std::vector<const Expr*>& x_only,
-                            std::vector<const Expr*>& y_only,
-                            std::vector<HoistedTerm>& x_terms,
-                            std::vector<HoistedTerm>& y_terms) {
+  // Files each conjunct of `e` under the one variable it reads (x-only
+  // and constant conjuncts under x); returns whether one reads both.
+  const auto split = [](const Expr& e, Expr& x_part, Expr& y_part,
+                        std::vector<HoistedTerm>& x_terms,
+                        std::vector<HoistedTerm>& y_terms) {
     bool residual = false;
-    for (const Expr* e : cs) {
+    for (const Expr* conj : conjuncts_of(e)) {
       VarUse u;
-      scan_vars(*e, u);
+      scan_vars(*conj, u);
       if (u.uses[0] && u.uses[1]) {
         residual = true;  // genuinely pairwise
-      } else if (u.uses[1]) {
-        y_only.push_back(e);
-        y_terms.push_back(term_of(e, u, 1));
-      } else {
-        x_only.push_back(e);  // x-only and constant conjuncts
-        x_terms.push_back(term_of(e, u, 0));
+        continue;
       }
+      const int var = u.uses[1] ? 1 : 0;
+      (var ? y_part : x_part).args.push_back(*conj);
+      (var ? y_terms : x_terms)
+          .push_back(HoistedTerm{*conj, u.lab_dep[var], u.mod_dep[var],
+                                 u.site_dep[var]});
     }
     return residual;
   };
 
   if (c.arity == 2) {
-    std::vector<const Expr*> ax, ay, cx, cy;
-    f.ante_residual = classify(conjuncts_of(c.antecedent()), ax, ay,
-                               f.ante_x_terms, f.ante_y_terms);
-    f.cons_residual = classify(conjuncts_of(c.consequent()), cx, cy,
-                               f.cons_x_terms, f.cons_y_terms);
-    f.ante_x = compile_conjunction(ax, 2, c.name);
-    f.ante_y = compile_conjunction(ay, 2, c.name);
-    f.cons_x = compile_conjunction(cx, 2, c.name);
-    f.cons_y = compile_conjunction(cy, 2, c.name);
+    f.ante_residual = split(c.antecedent(), f.ante_x, f.ante_y,
+                            f.ante_x_terms, f.ante_y_terms);
+    f.cons_residual = split(c.consequent(), f.cons_x, f.cons_y,
+                            f.cons_x_terms, f.cons_y_terms);
     return f;
   }
 
   // Unary: split the antecedent into role-value-independent guard
   // conjuncts and the rest.
-  std::vector<const Expr*> guard, rest;
-  for (const Expr* e : conjuncts_of(c.antecedent())) {
+  Expr rest{Op::And};
+  for (const Expr* conj : conjuncts_of(c.antecedent())) {
     VarUse u;
-    scan_vars(*e, u);
-    (u.rv_dep(0) ? rest : guard).push_back(e);
+    scan_vars(*conj, u);
+    (u.rv_dep(0) ? rest : f.unary_guard).args.push_back(*conj);
   }
-  f.unary_guard = compile_conjunction(guard, 1, c.name);
   // unary_rest == full with the guard conjuncts removed: when every
-  // guard conjunct is true, If(And(guard, rest), C) == If(And(rest), C).
-  f.unary_rest.arity = 1;
-  f.unary_rest.name = c.name;
-  if (rest.empty()) {
-    // If(true, C) == C.
-    flatten(c.consequent(), f.unary_rest.code);
-  } else {
-    for (std::size_t i = 0; i < rest.size(); ++i) {
-      flatten(*rest[i], f.unary_rest.code);
-      if (i + 1 < rest.size())
-        f.unary_rest.code.push_back({BOp::JmpIfFalseKeep, 0});
-    }
-    for (auto& in : f.unary_rest.code)
-      if (in.op == BOp::JmpIfFalseKeep && in.arg == 0)
-        in.arg = static_cast<std::int32_t>(f.unary_rest.code.size());
-    const std::size_t patch = f.unary_rest.code.size();
-    f.unary_rest.code.push_back({BOp::IfAnte, 0});
-    flatten(c.consequent(), f.unary_rest.code);
-    f.unary_rest.code[patch].arg =
-        static_cast<std::int32_t>(f.unary_rest.code.size());
-  }
+  // guard conjunct is true, If(And(guard, rest), C) == If(And(rest), C),
+  // and If(true, C) == C.
+  if (rest.args.empty())
+    f.unary_rest = c.consequent();
+  else
+    f.unary_rest = Expr{Op::If, ValueType::Bool, 0,
+                        {std::move(rest), c.consequent()}};
   return f;
 }
 
@@ -361,105 +216,12 @@ std::vector<FactoredConstraint> factor_all(const std::vector<Constraint>& cs) {
   return out;
 }
 
-bool eval_hoisted(const CompiledConstraint& part, const Sentence& sent,
-                  const Binding& b) {
-  if (part.code.empty()) return true;  // empty conjunction
+bool eval_hoisted(const Expr& part, const Sentence& sent, const Binding& b) {
   EvalContext ctx;
   ctx.sentence = &sent;
   ctx.x = b;
   ctx.y = b;  // either variable slot resolves to the same binding
-  return eval_compiled(part, ctx);
-}
-
-bool eval_compiled(const CompiledConstraint& c, const EvalContext& ctx) {
-  using BOp = CompiledConstraint::BOp;
-  // Constraint trees are constant-depth (paper §1.3); 64 slots is ample.
-  std::array<Value, 64> stack;
-  std::size_t sp = 0;
-  auto push = [&](Value v) {
-    assert(sp < stack.size());
-    stack[sp++] = v;
-  };
-  auto pop = [&]() -> Value {
-    assert(sp > 0);
-    return stack[--sp];
-  };
-
-  const auto n = c.code.size();
-  for (std::size_t pc = 0; pc < n; ++pc) {
-    const auto& in = c.code[pc];
-    switch (in.op) {
-      case BOp::PushLab:
-        push(make_int(binding_for(ctx, in.arg).rv.label));
-        break;
-      case BOp::PushMod:
-        push(make_int(binding_for(ctx, in.arg).rv.mod));
-        break;
-      case BOp::PushRole:
-        push(make_int(binding_for(ctx, in.arg).role));
-        break;
-      case BOp::PushPos:
-        push(make_int(binding_for(ctx, in.arg).pos));
-        break;
-      case BOp::PushConst:
-        push(make_int(in.arg));
-        break;
-      case BOp::WordAt: {
-        Value p = pop();
-        push((!p.valid || p.v < 1 || p.v > ctx.sentence->size())
-                 ? make_invalid()
-                 : make_int(p.v));
-        break;
-      }
-      case BOp::CatOf: {
-        Value w = pop();
-        push(w.valid ? make_int(ctx.sentence->cat_at(w.v)) : make_invalid());
-        break;
-      }
-      case BOp::Eq: {
-        Value b = pop(), a = pop();
-        push(make_bool(a.valid && b.valid && a.v == b.v));
-        break;
-      }
-      case BOp::Gt: {
-        Value b = pop(), a = pop();
-        push(make_bool(a.valid && b.valid && a.v > b.v));
-        break;
-      }
-      case BOp::Lt: {
-        Value b = pop(), a = pop();
-        push(make_bool(a.valid && b.valid && a.v < b.v));
-        break;
-      }
-      case BOp::Not:
-        push(make_bool(!pop().truth));
-        break;
-      case BOp::JmpIfFalseKeep:
-        if (!stack[sp - 1].truth) {
-          pc = static_cast<std::size_t>(in.arg) - 1;
-        } else {
-          --sp;
-        }
-        break;
-      case BOp::JmpIfTrueKeep:
-        if (stack[sp - 1].truth) {
-          pc = static_cast<std::size_t>(in.arg) - 1;
-        } else {
-          --sp;
-        }
-        break;
-      case BOp::IfAnte: {
-        const Value ante = pop();
-        if (!ante.truth) {
-          push(make_bool(true));
-          pc = static_cast<std::size_t>(in.arg) - 1;
-        }
-        break;
-      }
-    }
-  }
-  assert(sp == 1);
-  return stack[0].truth;
+  return holds(part, ctx);
 }
 
 }  // namespace parsec::cdg

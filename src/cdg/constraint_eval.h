@@ -6,13 +6,11 @@
 // zeroed.  Both variables of a binary constraint must be tried in both
 // assignments (x=a,y=b) and (x=b,y=a).
 //
-// Two evaluators are provided with identical semantics:
-//   * a tree-walking interpreter over the AST, and
-//   * a compiled flat-bytecode evaluator (CompiledConstraint), which the
-//     parsers use in their inner loops (ablation: bench_constraint_eval).
+// One evaluator, a tree-walking interpreter over the AST, serves every
+// engine: whole constraints, their residual pairs and the hoisted parts
+// of the factored form below all run through it.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "cdg/constraint.h"
@@ -38,6 +36,13 @@ struct EvalContext {
   Binding y;
 };
 
+/// True iff Bool expression `e` holds under the binding.  Accessing a
+/// property of the nil word yields an invalid value that every
+/// comparison reads as false, which matches the paper's guarded usage
+/// ("(not (eq (mod x) nil))").  `and`/`or`/`if` stop at the first
+/// decisive operand; an `and` with no operands is true.
+bool holds(const Expr& e, const EvalContext& ctx);
+
 /// True iff the constraint is *satisfied* (not violated) by the binding.
 bool eval_constraint(const Constraint& c, const EvalContext& ctx);
 
@@ -47,59 +52,17 @@ inline bool violates(const Constraint& c, const EvalContext& ctx) {
 }
 
 // ---------------------------------------------------------------------
-// Compiled form: a short-circuiting bytecode run on a tiny stack
-// machine.  Values are (int, valid) pairs; an `invalid` value models
-// access to properties of the nil word — any comparison with it is
-// false, which matches the paper's guarded usage
-// ("(not (eq (mod x) nil))").  `and`/`or`/`if` compile to conditional
-// branches so evaluation stops at the first decisive operand, like the
-// tree-walking interpreter.
-// ---------------------------------------------------------------------
-
-struct CompiledConstraint {
-  enum class BOp : std::uint8_t {
-    PushLab,       // arg = var index
-    PushMod,
-    PushRole,
-    PushPos,
-    PushConst,     // arg = constant
-    WordAt,        // pos -> word handle (invalid when out of range)
-    CatOf,         // word -> category (propagates invalid)
-    Eq, Gt, Lt,    // pop 2, push bool
-    Not,           // pop 1, push bool
-    JmpIfFalseKeep,  // top false: keep it, jump to arg; else pop, continue
-    JmpIfTrueKeep,   // top true:  keep it, jump to arg; else pop, continue
-    IfAnte,        // pop antecedent; false: push true, jump to arg
-  };
-  struct Instr {
-    BOp op;
-    std::int32_t arg;   // var index / constant / jump target (absolute pc)
-  };
-  std::vector<Instr> code;
-  int arity = 1;
-  std::string name;     // carried over from the Constraint, for traces
-};
-
-CompiledConstraint compile_constraint(const Constraint& c);
-
-/// Same result as eval_constraint on the original AST.
-bool eval_compiled(const CompiledConstraint& c, const EvalContext& ctx);
-
-/// Compiles a whole constraint set.
-std::vector<CompiledConstraint> compile_all(
-    const std::vector<Constraint>& cs);
-
-// ---------------------------------------------------------------------
 // Factored form: compile-time predicate hoisting (the vectorized
 // evaluation layer).
 //
 // Both the antecedent and the consequent of a constraint are (treated
 // as) conjunctions.  Each top-level conjunct either mentions only x,
 // only y, or genuinely couples the two variables.  The single-variable
-// conjuncts are hoisted into standalone programs (`ante_x`, `ante_y`,
-// `cons_x`, `cons_y`) that can be evaluated once per (role, role value)
-// and materialized as packed truth bitmasks (kernels::MaskCache);
-// coupling conjuncts stay behind as a *residual*, flagged per side.
+// conjuncts are hoisted into standalone conjunctions (`ante_x`,
+// `ante_y`, `cons_x`, `cons_y`) that can be evaluated once per (role,
+// role value) and materialized as packed truth bitmasks
+// (kernels::MaskCache); coupling conjuncts stay behind as a *residual*,
+// flagged per side.
 //
 // Soundness of the three-valued decision a sweep makes per pair, for
 // one variable assignment (x bound to value a, y to value b):
@@ -110,42 +73,45 @@ std::vector<CompiledConstraint> compile_all(
 //                                                    => satisfied;
 //   * C is known false  iff  !cons_x(a) || !cons_y(b);
 //   * violated iff A known true and C known false; anything else that
-//     is not "satisfied" above is undecided and falls back to the full
-//     bytecode program (`full`).
+//     is not "satisfied" above is undecided and falls back to the whole
+//     constraint (`full`).
 //
 // Unary constraints get a different split: antecedent conjuncts that do
 // not consult the role value itself (no (lab x) / (mod x) access — only
 // (role x), (pos x), (cat (word ...)) and constants) are hoisted into
-// `unary_guard`, a program that is constant across the role's whole
+// `unary_guard`, a conjunction that is constant across the role's whole
 // domain.  When the guard is false the constraint is vacuously
 // satisfied for every role value and the per-value sweep is skipped
 // entirely; otherwise `unary_rest` — the constraint minus the guard
 // conjuncts — is evaluated per value, with a result identical to
 // `full`.
+//
+// Every part is an owned copy of the source subtrees, so a factored
+// constraint outlives the Constraint and Grammar it was built from.
 // ---------------------------------------------------------------------
 
-/// One hoisted conjunct, compiled standalone, with the facts a mask
-/// builder needs to evaluate it at the cheapest granularity: a conjunct
-/// that never reads (mod v) has the same truth value for the whole
+/// One hoisted conjunct, with the facts a mask builder needs to
+/// evaluate it at the cheapest granularity: a conjunct that never reads
+/// (mod v) has the same truth value for the whole
 /// label run [l*(n+1), (l+1)*(n+1)) of the dense rv axis, one that
 /// never reads (lab v) is constant across labels for a fixed modifiee,
 /// and one that reads neither is constant across the entire domain.
 /// `uses_site` marks access to (role v) / (pos v): a site-independent
 /// term additionally has the same truth pattern for every role.
 struct HoistedTerm {
-  CompiledConstraint prog;
+  Expr expr;
   bool uses_lab = false;   // reads (lab v)
   bool uses_mod = false;   // reads (mod v)
   bool uses_site = false;  // reads (role v) or (pos v)
 };
 
 struct FactoredConstraint {
-  CompiledConstraint full;  // the whole constraint (residual/VM fallback)
+  Constraint full;  // the whole constraint (residual fallback)
 
-  // Binary factoring: hoisted single-variable conjunctions.  An empty
-  // program is an empty conjunction, i.e. constant true.
-  CompiledConstraint ante_x, ante_y;
-  CompiledConstraint cons_x, cons_y;
+  // Binary factoring: hoisted single-variable conjunctions, each an
+  // `and` node; one with no operands is constant true.
+  Expr ante_x{Op::And}, ante_y{Op::And};
+  Expr cons_x{Op::And}, cons_y{Op::And};
   bool ante_residual = false;  // antecedent keeps a pairwise conjunct
   bool cons_residual = false;  // consequent keeps one
 
@@ -154,17 +120,15 @@ struct FactoredConstraint {
   std::vector<HoistedTerm> ante_x_terms, ante_y_terms;
   std::vector<HoistedTerm> cons_x_terms, cons_y_terms;
 
-  // Unary hoisting: role-value-independent antecedent guard plus the
-  // remainder of the constraint (equal to `full` whenever the guard
-  // holds).  Unused for binary constraints.
-  CompiledConstraint unary_guard;
-  CompiledConstraint unary_rest;
-
-  int arity = 1;
-  std::string name;  // carried over, for traces and reports
+  // Unary hoisting: role-value-independent antecedent guard (an `and`
+  // node; no operands when nothing hoists) plus the remainder of the
+  // constraint (equal to `full` whenever the guard holds).  Unused for
+  // binary constraints.
+  Expr unary_guard{Op::And};
+  Expr unary_rest{Op::And};
 };
 
-/// Hoisting pass over one constraint (compile + factor).
+/// Hoisting pass over one constraint.
 FactoredConstraint factor_constraint(const Constraint& c);
 
 /// Factors a whole constraint set (engine construction time).
@@ -172,8 +136,7 @@ std::vector<FactoredConstraint> factor_all(const std::vector<Constraint>& cs);
 
 /// Evaluates a hoisted part against a single binding.  The binding is
 /// installed in BOTH variable slots, so a part hoisted from either the
-/// x or the y side resolves correctly.  Empty code is constant true.
-bool eval_hoisted(const CompiledConstraint& part, const Sentence& sent,
-                  const Binding& b);
+/// x or the y side resolves correctly.
+bool eval_hoisted(const Expr& part, const Sentence& sent, const Binding& b);
 
 }  // namespace parsec::cdg

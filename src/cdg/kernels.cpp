@@ -17,17 +17,17 @@ WordPos word_of(int role, int roles_per_word) {
   return static_cast<WordPos>(role / roles_per_word + 1);
 }
 
-/// Both variable assignments of the pair (x, y) under the full program;
-/// charges 2 to `vm` up front.
-bool pair_holds(const CompiledConstraint& c, EvalContext& ctx,
-                const Binding& x, const Binding& y, std::size_t& vm) {
-  vm += 2;
+/// Both variable assignments of the pair (x, y) under the whole
+/// constraint; charges 2 to `evals` up front.
+bool pair_holds(const Constraint& c, EvalContext& ctx, const Binding& x,
+                const Binding& y, std::size_t& evals) {
+  evals += 2;
   ctx.x = x;
   ctx.y = y;
-  if (!eval_compiled(c, ctx)) return false;
+  if (!eval_constraint(c, ctx)) return false;
   ctx.x = y;
   ctx.y = x;
-  return eval_compiled(c, ctx);
+  return eval_constraint(c, ctx);
 }
 
 /// Bits [lo, hi) that fall in word `w` of a row.
@@ -105,7 +105,7 @@ void support_all(const NetworkArena& a, util::BitSpan sup) {
   for (int role = 0; role < a.roles(); ++role) and_support_of(a, role, sup);
 }
 
-void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
+void propagate_unary(const Expr& e, const Sentence& sent,
                      const RvIndexer& ix, RoleId rid, WordPos w,
                      util::ConstBitSpan domain, std::vector<int>& victims,
                      std::size_t* evals) {
@@ -114,11 +114,11 @@ void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
   domain.for_each([&](std::size_t rv) {
     ctx.x = Binding{ix.decode(static_cast<int>(rv)), rid, w};
     if (evals) ++*evals;
-    if (!eval_compiled(c, ctx)) victims.push_back(static_cast<int>(rv));
+    if (!holds(e, ctx)) victims.push_back(static_cast<int>(rv));
   });
 }
 
-void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
+void propagate_unary(const Expr& e, const Sentence& sent,
                      const RvIndexer& ix, RoleId rid, WordPos w,
                      util::ConstBitSpan domain, std::span<std::uint8_t> flags,
                      std::size_t* evals) {
@@ -127,18 +127,17 @@ void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
   domain.for_each([&](std::size_t rv) {
     ctx.x = Binding{ix.decode(static_cast<int>(rv)), rid, w};
     if (evals) ++*evals;
-    if (!eval_compiled(c, ctx)) flags[rv] = 1;
+    if (!holds(e, ctx)) flags[rv] = 1;
   });
 }
 
-int sweep_binary(NetworkArena& a, const CompiledConstraint& c,
-                 const Sentence& sent, const RvIndexer& ix, int roles_per_word,
-                 std::size_t* evals) {
+int sweep_binary(NetworkArena& a, const Constraint& c, const Sentence& sent,
+                 const RvIndexer& ix, int roles_per_word, std::size_t* evals) {
   const std::size_t V = a.pair_values();
   const std::size_t W = a.pair_row_words();
   EvalContext ctx;
   ctx.sentence = &sent;
-  std::size_t vm = 0;
+  std::size_t tested = 0;
   int zeroed = 0;
   for (int ra = 0; ra < a.roles(); ++ra) {
     const std::size_t lo = a.block_begin(ra), hi = a.block_end(ra);
@@ -152,14 +151,14 @@ int sweep_binary(NetworkArena& a, const CompiledConstraint& c,
           const std::size_t col =
               w * kWordBits + static_cast<std::size_t>(std::countr_zero(u));
           if (!pair_holds(c, ctx, bind_a,
-                          bind_value(a, ix, roles_per_word, col), vm))
+                          bind_value(a, ix, roles_per_word, col), tested))
             dead |= u & -u;
         }
         if (dead) zeroed += kill_pairs(a, v, w, dead);
       }
     }
   }
-  if (evals) *evals += vm;
+  if (evals) *evals += tested;
   return zeroed;
 }
 
@@ -204,13 +203,13 @@ std::size_t MaskCache::ensure(NetworkArena& a, const FactoredConstraint& c,
       dom.for_each([&](std::size_t rv) {
         b.rv = ix.decode(static_cast<int>(rv));
         ++evals;
-        if (!eval_hoisted(t.prog, sent, b)) msk.reset(rv);
+        if (!eval_hoisted(t.expr, sent, b)) msk.reset(rv);
       });
     } else if (t.uses_lab) {
       for (LabelId l = 0; l < L; ++l) {
         b.rv = RoleValue{l, 0};
         ++evals;
-        if (!eval_hoisted(t.prog, sent, b))
+        if (!eval_hoisted(t.expr, sent, b))
           clear_run(msk, static_cast<std::size_t>(l) * M,
                     static_cast<std::size_t>(l + 1) * M);
       }
@@ -218,7 +217,7 @@ std::size_t MaskCache::ensure(NetworkArena& a, const FactoredConstraint& c,
       for (WordPos m = 0; m < M; ++m) {
         b.rv = RoleValue{0, m};
         ++evals;
-        if (!eval_hoisted(t.prog, sent, b))
+        if (!eval_hoisted(t.expr, sent, b))
           for (LabelId l = 0; l < L; ++l)
             msk.reset(static_cast<std::size_t>(l) * M + m);
       }
@@ -226,7 +225,7 @@ std::size_t MaskCache::ensure(NetworkArena& a, const FactoredConstraint& c,
       // Constant over the whole domain (site-only or literal).
       ++evals;
       b.rv = RoleValue{0, 0};
-      if (!eval_hoisted(t.prog, sent, b)) msk.reset_all();
+      if (!eval_hoisted(t.expr, sent, b)) msk.reset_all();
     }
   };
 
@@ -295,7 +294,7 @@ int sweep_binary_masked(NetworkArena& a, const FactoredConstraint& c,
   const util::ConstBitSpan ma_cx = ca.pair_mask(2), ma_cy = ca.pair_mask(3);
   EvalContext ctx;
   ctx.sentence = &sent;
-  std::size_t vm = 0, masked = 0, rows = 0, words = 0;
+  std::size_t evals = 0, masked = 0, rows = 0, words = 0;
   int zeroed = 0;
   const auto ones = [](bool b) { return b ? ~Word{0} : Word{0}; };
 
@@ -339,15 +338,16 @@ int sweep_binary_masked(NetworkArena& a, const FactoredConstraint& c,
             static_cast<std::size_t>(std::popcount(r) - std::popcount(und));
         Word dead = r & kill;
         if (apply_residual && und) {
-          // Residual: the bytecode VM decides what the masks left open.
-          // A pair's verdict depends only on (sentence, v, u), never on
-          // matrix state, so deciding it here or later is the same.
+          // Residual: the whole constraint decides what the masks left
+          // open.  A pair's verdict depends only on (sentence, v, u),
+          // never on matrix state, so deciding it here or later is the
+          // same.
           const Binding bind_a = bind_value(a, ix, roles_per_word, v);
           for (Word u = und; u; u &= u - 1) {
             const std::size_t col =
                 w * kWordBits + static_cast<std::size_t>(std::countr_zero(u));
             if (!pair_holds(c.full, ctx, bind_a,
-                            bind_value(a, ix, roles_per_word, col), vm))
+                            bind_value(a, ix, roles_per_word, col), evals))
               dead |= u & -u;
           }
         }
@@ -355,7 +355,7 @@ int sweep_binary_masked(NetworkArena& a, const FactoredConstraint& c,
       }
     }
   }
-  if (counters.vm_evals) *counters.vm_evals += vm;
+  if (counters.evals) *counters.evals += evals;
   if (counters.masked) *counters.masked += masked;
   if (counters.tile_sweeps) *counters.tile_sweeps += rows;
   if (counters.lane_words) *counters.lane_words += words;
@@ -370,7 +370,7 @@ namespace {
 bool unary_guard_fails(const FactoredConstraint& c, const Sentence& sent,
                        RoleId rid, WordPos w, util::ConstBitSpan domain,
                        const MaskedCounters& counters) {
-  if (c.unary_guard.code.empty()) return false;
+  if (c.unary_guard.args.empty()) return false;
   if (counters.build_evals) ++*counters.build_evals;
   const Binding b{RoleValue{}, rid, w};  // rv unused: guard is rv-free
   if (eval_hoisted(c.unary_guard, sent, b)) return false;
@@ -387,7 +387,7 @@ void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
                             const MaskedCounters& counters) {
   if (unary_guard_fails(c, sent, rid, w, domain, counters)) return;
   propagate_unary(c.unary_rest, sent, ix, rid, w, domain, victims,
-                  counters.vm_evals);
+                  counters.evals);
 }
 
 void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
@@ -397,7 +397,7 @@ void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
                             const MaskedCounters& counters) {
   if (unary_guard_fails(c, sent, rid, w, domain, counters)) return;
   propagate_unary(c.unary_rest, sent, ix, rid, w, domain, flags,
-                  counters.vm_evals);
+                  counters.evals);
 }
 
 }  // namespace parsec::cdg::kernels

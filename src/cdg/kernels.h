@@ -30,10 +30,10 @@
 //   * the sweeps clear bits in place and return how many pairs.
 //
 // Counter-hook contract for the masked (vectorized) kernels:
-//   * `evals` still counts ACTUAL bytecode-VM dispatches — one per
-//     unary value tested, two per binary pair dispatched — so it is a
-//     faithful cost measure of the residual path;
-//   * pairs/values the mask pass batch-decides without a dispatch are
+//   * `evals` still counts ACTUAL constraint evaluations — one per
+//     unary value tested, two per binary pair the residual decides — so
+//     it is a faithful cost measure of the residual path;
+//   * pairs/values the mask pass batch-decides without an evaluation are
 //     counted separately (`masked_pairs` / `masked_decided`), each
 //     representing the same work the plain kernel would have charged:
 //     2 evals per masked binary pair, 1 per masked unary value;
@@ -80,11 +80,12 @@ void support_all(const NetworkArena& a, util::BitSpan sup);
 /// with one OR-fold per role that lost values.
 void and_support_of(const NetworkArena& a, int role, util::BitSpan sup);
 
-/// Evaluates one unary constraint over the set bits of `domain`
-/// (ascending), appending failing dense rv indices to `victims`.
-/// Bindings are derived from (ix, rid, w).  If `evals` is non-null it
-/// is incremented once per value tested.
-void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
+/// Evaluates a unary constraint's Bool expression `e` (its root, or the
+/// factored `unary_rest`) over the set bits of `domain` (ascending),
+/// appending failing dense rv indices to `victims`.  Bindings are
+/// derived from (ix, rid, w).  If `evals` is non-null it is incremented
+/// once per value tested.
+void propagate_unary(const Expr& e, const Sentence& sent,
                      const RvIndexer& ix, RoleId rid, WordPos w,
                      util::ConstBitSpan domain, std::vector<int>& victims,
                      std::size_t* evals = nullptr);
@@ -93,7 +94,7 @@ void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
 /// engines stage eliminations in per-role slices of the arena's
 /// rv_flags region (disjoint writes, race-free), then eliminate in
 /// role-major, rv-ascending order.
-void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
+void propagate_unary(const Expr& e, const Sentence& sent,
                      const RvIndexer& ix, RoleId rid, WordPos w,
                      util::ConstBitSpan domain, std::span<std::uint8_t> flags,
                      std::size_t* evals = nullptr);
@@ -104,10 +105,10 @@ void propagate_unary(const CompiledConstraint& c, const Sentence& sent,
 /// id, word) bindings.  If `evals` is non-null it is incremented by 2
 /// per pair tested (both assignments are charged even when the first
 /// already fails).  Returns the number of pairs cleared.  This is the
-/// one-dispatch-per-pair oracle the masked sweep must match
+/// one-evaluation-per-pair reference the masked sweep must match
 /// (ParseOptions::use_masks).
-int sweep_binary(NetworkArena& a, const CompiledConstraint& c,
-                 const Sentence& sent, const RvIndexer& ix, int roles_per_word,
+int sweep_binary(NetworkArena& a, const Constraint& c, const Sentence& sent,
+                 const RvIndexer& ix, int roles_per_word,
                  std::size_t* evals = nullptr);
 
 // ---------------------------------------------------------------------
@@ -188,7 +189,7 @@ class MaskCache {
 /// Counter sink for the masked kernels (see the counter-hook contract
 /// in the header comment).  Null members are simply not charged.
 struct MaskedCounters {
-  std::size_t* vm_evals = nullptr;       // actual bytecode dispatches
+  std::size_t* evals = nullptr;          // actual constraint evaluations
   std::size_t* masked = nullptr;         // pairs/values decided mask-only
   std::size_t* build_evals = nullptr;    // hoisted evals spent on masks
   // Sweep bookkeeping: pair-matrix rows put through the mask expression
@@ -202,9 +203,9 @@ struct MaskedCounters {
 /// row, the separable part of the constraint is applied as a fixed
 /// 8-term AND/ANDN/OR expression per word over the gathered pair masks
 /// (MaskCache::gather must have run for this constraint), across the
-/// columns of every later role at once, deciding most pairs without a VM
-/// dispatch; only pairs the masks leave undecided fall back to the full
-/// bytecode program (both variable assignments, exactly like
+/// columns of every later role at once, deciding most pairs without an
+/// evaluation; only pairs the masks leave undecided fall back to the
+/// whole constraint (both variable assignments, exactly like
 /// sweep_binary).  When `apply_residual` is false undecided pairs are
 /// left untouched (the mask-only ablation mode; results then
 /// UNDER-approximate the plain sweep).  Returns pairs cleared.
@@ -218,8 +219,8 @@ int sweep_binary_masked(NetworkArena& a, const FactoredConstraint& c,
 /// Hoisted-guard unary propagation: evaluates the constraint's
 /// role-value-independent guard once for the role; when it fails the
 /// whole domain is vacuously satisfied (domain.count() charged to
-/// `counters.masked`) and no per-value work runs.  Otherwise the
-/// residual program runs per alive value exactly like propagate_unary.
+/// `counters.masked`) and no per-value work runs.  Otherwise
+/// `unary_rest` runs per alive value exactly like propagate_unary.
 /// Victims are appended in ascending order.
 void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
                             const RvIndexer& ix, RoleId rid, WordPos w,

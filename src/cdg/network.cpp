@@ -134,15 +134,19 @@ void Network::refresh_alive_cache() {
   alive_off_[R] = alive_flat_.size();
 }
 
-int Network::apply_unary(const CompiledConstraint& c) {
-  assert(c.arity == 1);
+void Network::begin_unary(const std::string& name) {
   current_kind_ = TraceEvent::Kind::UnaryElimination;
   // Assign in place (a conditional expression would materialize a
   // temporary string and put an allocation on the steady-state path).
-  if (c.name.empty())
+  if (name.empty())
     current_cause_ = "unary constraint";
   else
-    current_cause_.assign(c.name);
+    current_cause_.assign(name);
+}
+
+int Network::apply_unary(const Constraint& c) {
+  assert(c.arity == 1);
+  begin_unary(c.name);
   int eliminated = 0;
   const int R = num_roles();
   for (int role = 0; role < R; ++role) {
@@ -151,7 +155,7 @@ int Network::apply_unary(const CompiledConstraint& c) {
     // explicit and matches the parallel semantics (all checks see the
     // same pre-sweep state for a single constraint).
     victims_.clear();
-    kernels::propagate_unary(c, sentence_, indexer_, role_id_of(role),
+    kernels::propagate_unary(c.root, sentence_, indexer_, role_id_of(role),
                              word_of_role(role), domain(role), victims_,
                              &counters_.unary_evals);
     eliminated += eliminate_batch(role, victims_);
@@ -159,7 +163,7 @@ int Network::apply_unary(const CompiledConstraint& c) {
   return eliminated;
 }
 
-int Network::apply_binary(const CompiledConstraint& c) {
+int Network::apply_binary(const Constraint& c) {
   assert(c.arity == 2);
   build_arcs();
   const int zeroed =
@@ -170,14 +174,10 @@ int Network::apply_binary(const CompiledConstraint& c) {
 }
 
 int Network::apply_unary(const FactoredConstraint& c) {
-  assert(c.arity == 1);
-  current_kind_ = TraceEvent::Kind::UnaryElimination;
-  if (c.name.empty())
-    current_cause_ = "unary constraint";
-  else
-    current_cause_.assign(c.name);
+  assert(c.full.arity == 1);
+  begin_unary(c.full.name);
   kernels::MaskedCounters mc;
-  mc.vm_evals = &counters_.unary_evals;
+  mc.evals = &counters_.unary_evals;
   mc.masked = &counters_.masked_unary_decided;
   mc.build_evals = &counters_.mask_build_evals;
   int eliminated = 0;
@@ -205,7 +205,7 @@ void Network::ensure_masks(const FactoredConstraint& c, std::size_t slot) {
 int Network::sweep_binary(const FactoredConstraint& c, std::size_t slot,
                           const kernels::MaskedCounters& sink,
                           bool apply_residual) {
-  assert(c.arity == 2);
+  assert(c.full.arity == 2);
   build_arcs();
   ensure_masks(c, slot);
   if (gathered_slot_ != slot) {
@@ -222,7 +222,7 @@ int Network::sweep_binary(const FactoredConstraint& c, std::size_t slot,
 int Network::apply_binary(const FactoredConstraint& c, std::size_t slot,
                           bool apply_residual) {
   kernels::MaskedCounters mc;
-  mc.vm_evals = &counters_.binary_evals;
+  mc.evals = &counters_.binary_evals;
   mc.masked = &counters_.masked_binary_pairs;
   mc.tile_sweeps = &counters_.tile_sweeps;
   mc.lane_words = &counters_.simd_lane_words;

@@ -57,13 +57,13 @@ namespace parsec::cdg {
 /// bench_serial_vs_parallel): the serial model's O(k n^4) shape is read
 /// off these rather than noisy wall-clock alone.
 struct NetworkCounters {
-  std::size_t unary_evals = 0;      // actual bytecode-VM dispatches
-  std::size_t binary_evals = 0;     // actual bytecode-VM dispatches
+  std::size_t unary_evals = 0;      // actual constraint evaluations
+  std::size_t binary_evals = 0;     // actual constraint evaluations
   std::size_t eliminations = 0;
   std::size_t arc_zeroings = 0;     // individual matrix bits cleared
   std::size_t support_checks = 0;
   // Vectorized-path bookkeeping (kernels.h counter-hook contract):
-  // pairs/values the truth masks decided without a VM dispatch, and the
+  // pairs/values the truth masks decided without an evaluation, and the
   // hoisted evaluations spent building masks / testing unary guards.
   std::size_t masked_binary_pairs = 0;
   std::size_t masked_unary_decided = 0;
@@ -213,12 +213,12 @@ class Network {
   // ---- parsing operations ------------------------------------------------
   /// Propagates one unary constraint over every role value (paper §1.4);
   /// returns the number of role values eliminated.
-  int apply_unary(const CompiledConstraint& c);
+  int apply_unary(const Constraint& c);
 
   /// Propagates one binary constraint over every pair of role values in
   /// distinct roles, in both variable assignments; returns pairs zeroed.
   /// Builds the arcs first if they do not exist yet.
-  int apply_binary(const CompiledConstraint& c);
+  int apply_binary(const Constraint& c);
 
   // ---- vectorized (masked) parsing operations ---------------------------
   /// Hoisted-guard unary propagation: identical eliminations to
@@ -230,7 +230,7 @@ class Network {
   /// apply_binary(c.full), with most pairs decided by bitwise row
   /// kernels over the constraint's truth masks (stored in arena mask
   /// slot group `slot`, one group per binary constraint) and only
-  /// mask-undecided pairs dispatched to the bytecode VM.  With
+  /// mask-undecided pairs evaluated against the whole constraint.  With
   /// `apply_residual` false, undecided pairs are left untouched instead
   /// (bench_ablation_masks' mask-only mode; the result then
   /// under-approximates the plain sweep).  Charges every sweep counter.
@@ -320,6 +320,8 @@ class Network {
 
  private:
   void init_domains();
+  /// Attributes the next eliminations to the unary constraint `name`.
+  void begin_unary(const std::string& name);
   /// Alive values of `role` whose bit in `sup` (over the pair axis) is
   /// clear, ascending, into victims_.
   void collect_unsupported(int role, util::ConstBitSpan sup);

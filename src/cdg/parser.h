@@ -35,10 +35,10 @@ struct ParseOptions {
   /// fewer than 10 filtering steps", §2.1).
   int filter_sweeps = -1;
   /// Evaluate constraints through the vectorized path (hoisted-predicate
-  /// truth masks + bitwise row kernels, with bytecode-VM fallback for
-  /// mask-undecided pairs).  Results are bit-identical to the plain
-  /// per-pair path; turning this off restores one-VM-dispatch-per-pair
-  /// evaluation (differential tests, bench_ablation_masks).
+  /// truth masks + bitwise row kernels, with the whole constraint
+  /// deciding mask-undecided pairs).  Results are bit-identical to the
+  /// plain per-pair path; turning this off restores one evaluation per
+  /// pair (differential tests, bench_ablation_masks).
   bool use_masks = true;
 };
 
@@ -92,9 +92,8 @@ class SequentialParser {
   /// sweeps when enabled.
   int run_binary(Network& net) const;
 
-  // Factored (hoisted) forms; each element's `.full` member is the
-  // plain compiled program, so existing per-constraint callers keep
-  // working unchanged.
+  // Factored (hoisted) forms; each element's `.full` member is a copy
+  // of the grammar's constraint, which the plain path evaluates.
   const std::vector<FactoredConstraint>& compiled_unary() const {
     return unary_;
   }

@@ -97,7 +97,7 @@ struct SweepConsts {
 /// Per-lane accumulators of one or more sweep_row calls.  The caller
 /// zero-initializes once per attribution scope; kernels add into them.
 struct SweepStats {
-  Word masked[kMaxLanes] = {};  // pairs decided without a VM dispatch
+  Word masked[kMaxLanes] = {};  // pairs decided without an evaluation
   Word dead[kMaxLanes] = {};    // pairs the mask pass killed
   bool any_undecided = false;   // any nonzero word written to `undecided`
 };

@@ -376,7 +376,8 @@ StatsPublisher::StatsPublisher(obs::Registry* registry) {
         {{"backend", be}});
     p.masked_binary_pairs = &reg.counter(
         "parsec_masked_binary_pairs_total",
-        "Arc pairs decided by truth masks without a VM dispatch.",
+        "Arc pairs decided by truth masks without evaluating the "
+        "constraint.",
         {{"backend", be}});
     p.mask_build_evals = &reg.counter(
         "parsec_mask_build_evals_total",
@@ -398,13 +399,14 @@ StatsPublisher::StatsPublisher(obs::Registry* registry) {
         {{"backend", be}});
     p.simd_tile_sweeps = &reg.counter(
         "parsec_simd_tile_sweeps_total",
-        "Cache-blocked sweep tiles executed by the SIMD kernels "
-        "(tier-independent).",
+        "Sweep blocks put through the truth-mask expression: pair-matrix "
+        "rows on the host engines, row tiles in SoA batches, live PE "
+        "words on the MasPar (tier-independent).",
         {{"backend", be}});
     p.simd_lane_words = &reg.counter(
         "parsec_simd_lane_words_total",
-        "64-bit words pushed through the vector phase of the sweep "
-        "kernels (tier-independent).",
+        "64-bit row words put through the truth-mask expression of the "
+        "sweep kernels (tier-independent).",
         {{"backend", be}});
     p.latency = &reg.histogram("parsec_parse_duration_seconds",
                                "Wall-clock latency of one parse request.",

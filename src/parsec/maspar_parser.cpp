@@ -12,7 +12,6 @@
 namespace parsec::engine {
 
 using cdg::Binding;
-using cdg::CompiledConstraint;
 using cdg::EvalContext;
 using cdg::FactoredConstraint;
 using cdg::RoleValue;
@@ -92,80 +91,18 @@ MasparParse::MasparParse(const cdg::Grammar& g, const cdg::Sentence& s,
   });
 }
 
-void MasparParse::apply_unary(const CompiledConstraint& c) {
-  EvalContext ctx;
-  ctx.sentence = &sentence_;
+void MasparParse::apply_unary(const FactoredConstraint& c) {
   // Every PE tests its l row role values and its l column role values
   // against the broadcast constraint, zeroing violating rows/columns of
-  // its submatrix.  2*l evaluations + l*l potential bit clears.
-  machine_.acu(1);  // broadcast the constraint
-  const int M = layout_.mods_per_word();
-  machine_.simd(2 * l_ + l_ * l_, [&](int pe) {
-    const auto& co = coords_[pe];
-    const auto& row_bind =
-        slot_bindings_[static_cast<std::size_t>(co.a) * M + co.mx];
-    const auto& col_bind =
-        slot_bindings_[static_cast<std::size_t>(co.b) * M + co.my];
-    std::uint64_t w = bits_[pe];
-    for (std::size_t i = 0; i < row_bind.size(); ++i) {
-      ctx.x = row_bind[i];
-      if (!eval_compiled(c, ctx))
-        w = cdg::kernels::zero_packed_row(w, static_cast<int>(i), l_);
-    }
-    for (std::size_t j = 0; j < col_bind.size(); ++j) {
-      ctx.x = col_bind[j];
-      if (!eval_compiled(c, ctx))
-        w = cdg::kernels::zero_packed_col(w, static_cast<int>(j), l_);
-    }
-    bits_[pe] = w;
-  });
-}
-
-void MasparParse::apply_binary(const CompiledConstraint& c) {
-  EvalContext ctx;
-  ctx.sentence = &sentence_;
-  machine_.acu(1);  // broadcast the constraint
-  const int M = layout_.mods_per_word();
-  // 2*l*l evaluations per PE (both variable assignments per element).
-  machine_.simd(2 * l_ * l_, [&](int pe) {
-    std::uint64_t w = bits_[pe];
-    if (!w) return;
-    const auto& co = coords_[pe];
-    const auto& row_bind =
-        slot_bindings_[static_cast<std::size_t>(co.a) * M + co.mx];
-    const auto& col_bind =
-        slot_bindings_[static_cast<std::size_t>(co.b) * M + co.my];
-    for (std::size_t i = 0; i < row_bind.size(); ++i) {
-      for (std::size_t j = 0; j < col_bind.size(); ++j) {
-        const int bit_idx = static_cast<int>(i) * l_ + static_cast<int>(j);
-        if (!cdg::kernels::packed_test(w, static_cast<int>(i),
-                                       static_cast<int>(j), l_))
-          continue;
-        ctx.x = row_bind[i];
-        ctx.y = col_bind[j];
-        bool ok = eval_compiled(c, ctx);
-        if (ok) {
-          ctx.x = col_bind[j];
-          ctx.y = row_bind[i];
-          ok = eval_compiled(c, ctx);
-        }
-        if (!ok) w &= ~(std::uint64_t{1} << bit_idx);
-      }
-    }
-    bits_[pe] = w;
-  });
-}
-
-void MasparParse::apply_unary(const FactoredConstraint& c) {
-  // Vectorized form: the guard reads only (role v)/(pos v), so one host
-  // evaluation per role stands in for the lockstep test every PE of the
-  // role's slots would make; failing roles are vacuously satisfied and
-  // skip the per-value residual entirely.  SIMD op charges are those of
-  // the plain kernel — the PE array performs the same phase either way.
+  // its submatrix: 2*l evaluations + l*l potential bit clears.  The
+  // guard reads only (role v)/(pos v), so one host evaluation per role
+  // stands in for the lockstep test every PE of the role's slots would
+  // make; failing roles are vacuously satisfied and skip the per-value
+  // test entirely.
   const int R = layout_.num_roles();
   const int M = layout_.mods_per_word();
   std::vector<std::uint8_t> guard_pass(static_cast<std::size_t>(R), 1);
-  if (!c.unary_guard.code.empty()) {
+  if (!c.unary_guard.args.empty()) {
     for (int a = 0; a < R; ++a) {
       const Binding b{RoleValue{}, layout_.role_id_of(a),
                       layout_.word_of_role(a)};
@@ -184,7 +121,7 @@ void MasparParse::apply_unary(const FactoredConstraint& c) {
           slot_bindings_[static_cast<std::size_t>(co.a) * M + co.mx];
       for (std::size_t i = 0; i < row_bind.size(); ++i) {
         ctx.x = row_bind[i];
-        if (!eval_compiled(c.unary_rest, ctx))
+        if (!holds(c.unary_rest, ctx))
           w = cdg::kernels::zero_packed_row(w, static_cast<int>(i), l_);
       }
     }
@@ -193,7 +130,7 @@ void MasparParse::apply_unary(const FactoredConstraint& c) {
           slot_bindings_[static_cast<std::size_t>(co.b) * M + co.my];
       for (std::size_t j = 0; j < col_bind.size(); ++j) {
         ctx.x = col_bind[j];
-        if (!eval_compiled(c.unary_rest, ctx))
+        if (!holds(c.unary_rest, ctx))
           w = cdg::kernels::zero_packed_col(w, static_cast<int>(j), l_);
       }
     }
@@ -212,8 +149,7 @@ void MasparParse::apply_binary(const FactoredConstraint& c) {
   // into packed l*l row masks (value as the row side) and column masks
   // (value as the column side): the MasPar counterpart of the word-
   // level MaskCache.
-  const CompiledConstraint* parts[4] = {&c.ante_x, &c.ante_y, &c.cons_x,
-                                        &c.cons_y};
+  const cdg::Expr* parts[4] = {&c.ante_x, &c.ante_y, &c.cons_x, &c.cons_y};
   std::vector<std::uint64_t> rowm[4], colm[4];
   for (auto& v : rowm) v.assign(S, 0);
   for (auto& v : colm) v.assign(S, 0);
@@ -273,10 +209,10 @@ void MasparParse::apply_binary(const FactoredConstraint& c) {
       const std::size_t j = static_cast<std::size_t>(bit % l_);
       ctx.x = row_bind[i];
       ctx.y = col_bind[j];
-      bool ok = eval_compiled(c.full, ctx);
+      bool ok = eval_constraint(c.full, ctx);
       if (ok) {
         std::swap(ctx.x, ctx.y);
-        ok = eval_compiled(c.full, ctx);
+        ok = eval_constraint(c.full, ctx);
       }
       if (!ok) w &= ~(std::uint64_t{1} << bit);
     }
@@ -331,10 +267,37 @@ bool MasparParse::consistency_iteration() {
   return false;
 }
 
-MasparResult MasparParse::filter_and_finish(const cdg::CancelFn& cancel,
-                                            bool already_cancelled) {
+MasparResult MasparParse::run(const std::vector<FactoredConstraint>& unary,
+                              const std::vector<FactoredConstraint>& binary,
+                              const cdg::CancelFn& cancel) {
   MasparResult r;
-  r.cancelled = already_cancelled;
+  {
+    obs::Span span("maspar.unary");
+    const maspar::MachineStats before = machine_.stats();
+    for (const auto& c : unary) {
+      if (resil::checkpoint(cancel)) {
+        r.cancelled = true;
+        break;
+      }
+      apply_unary(c);
+    }
+    if (span.active())
+      span.arg("plural_ops", machine_.stats().plural_ops - before.plural_ops);
+  }
+  {
+    obs::Span span("maspar.binary");
+    const maspar::MachineStats before = machine_.stats();
+    for (const auto& c : binary) {
+      if (r.cancelled) break;
+      if (resil::checkpoint(cancel)) {
+        r.cancelled = true;
+        break;
+      }
+      apply_binary(c);
+    }
+    if (span.active())
+      span.arg("plural_ops", machine_.stats().plural_ops - before.plural_ops);
+  }
   int iters = 0;
   {
     obs::Span span("maspar.filter");
@@ -365,70 +328,6 @@ MasparResult MasparParse::filter_and_finish(const cdg::CancelFn& cancel,
   r.lane_words = lane_words_;
   r.simulated_seconds = maspar::CostModel::mp1().seconds(machine_);
   return r;
-}
-
-MasparResult MasparParse::run(
-    const std::vector<CompiledConstraint>& unary,
-    const std::vector<CompiledConstraint>& binary,
-    const cdg::CancelFn& cancel) {
-  bool aborted = false;
-  {
-    obs::Span span("maspar.unary");
-    for (const auto& c : unary) {
-      if (resil::checkpoint(cancel)) {
-        aborted = true;
-        break;
-      }
-      apply_unary(c);
-    }
-  }
-  {
-    obs::Span span("maspar.binary");
-    for (const auto& c : binary) {
-      if (aborted) break;
-      if (resil::checkpoint(cancel)) {
-        aborted = true;
-        break;
-      }
-      apply_binary(c);
-    }
-  }
-  return filter_and_finish(cancel, aborted);
-}
-
-MasparResult MasparParse::run(
-    const std::vector<FactoredConstraint>& unary,
-    const std::vector<FactoredConstraint>& binary,
-    const cdg::CancelFn& cancel) {
-  bool aborted = false;
-  {
-    obs::Span span("maspar.unary");
-    const maspar::MachineStats before = machine_.stats();
-    for (const auto& c : unary) {
-      if (resil::checkpoint(cancel)) {
-        aborted = true;
-        break;
-      }
-      apply_unary(c);
-    }
-    if (span.active())
-      span.arg("plural_ops", machine_.stats().plural_ops - before.plural_ops);
-  }
-  {
-    obs::Span span("maspar.binary");
-    const maspar::MachineStats before = machine_.stats();
-    for (const auto& c : binary) {
-      if (aborted) break;
-      if (resil::checkpoint(cancel)) {
-        aborted = true;
-        break;
-      }
-      apply_binary(c);
-    }
-    if (span.active())
-      span.arg("plural_ops", machine_.stats().plural_ops - before.plural_ops);
-  }
-  return filter_and_finish(cancel, aborted);
 }
 
 bool MasparParse::supported(int role, RoleValue rv) const {

@@ -69,22 +69,19 @@ class MasparParse {
 
   // ---- kernels (each models one ACU-driven SIMD phase) ----------------
   /// Applies one unary constraint to every role value (rows and columns
-  /// zeroed in place; design decision 1 lets this run any time).
-  void apply_unary(const cdg::CompiledConstraint& c);
-  /// Vectorized form: the role-value-independent guard is evaluated
-  /// once per role slot (host side — the ACU would broadcast it), and
-  /// guarded slots run only the residual program.  Identical zeroings;
-  /// identical SIMD op charges (the PE array performs the same lockstep
-  /// phase either way).
+  /// zeroed in place; design decision 1 lets this run any time).  The
+  /// role-value-independent guard is evaluated once per role slot (host
+  /// side — the ACU would broadcast it), and guarded slots run only
+  /// `unary_rest`.  Every PE is charged the lockstep test of its 2*l
+  /// row and column values either way.
   void apply_unary(const cdg::FactoredConstraint& c);
   /// Applies one binary constraint to every arc element, both variable
-  /// assignments.
-  void apply_binary(const cdg::CompiledConstraint& c);
-  /// Vectorized form: hoisted-part truth masks are evaluated once per
+  /// assignments.  Hoisted-part truth masks are evaluated once per
   /// (role, mod-slot, label-slot) and expanded into packed l*l row and
   /// column masks; each PE then decides most elements with a handful of
-  /// word ops, dispatching only mask-undecided elements to the bytecode
-  /// VM.  Identical zeroings and SIMD op charges to the plain form.
+  /// word ops and evaluates only mask-undecided elements against the
+  /// whole constraint.  Every PE is charged 2*l*l evaluations either
+  /// way.
   void apply_binary(const cdg::FactoredConstraint& c);
   /// One consistency-maintenance iteration (Figs. 10/12).  Returns true
   /// if any role value's support changed to dead (read by the ACU via a
@@ -94,10 +91,6 @@ class MasparParse {
   /// `cancel` (if non-empty) is polled at every engine checkpoint —
   /// before each constraint broadcast and each consistency iteration —
   /// mirroring the ACU's per-phase control flow.
-  MasparResult run(const std::vector<cdg::CompiledConstraint>& unary,
-                   const std::vector<cdg::CompiledConstraint>& binary,
-                   const cdg::CancelFn& cancel = {});
-  /// Same pipeline through the vectorized kernels.
   MasparResult run(const std::vector<cdg::FactoredConstraint>& unary,
                    const std::vector<cdg::FactoredConstraint>& binary,
                    const cdg::CancelFn& cancel = {});
@@ -119,12 +112,6 @@ class MasparParse {
   bool supported(int role, cdg::RoleValue rv) const;
 
  private:
-  /// Shared tail of run(): filtering iterations + result assembly.
-  /// `already_cancelled` skips filtering when a constraint phase was
-  /// aborted.
-  MasparResult filter_and_finish(const cdg::CancelFn& cancel,
-                                 bool already_cancelled);
-
   const cdg::Grammar* grammar_;
   cdg::Sentence sentence_;
   maspar::Layout layout_;
@@ -162,8 +149,8 @@ class MasparParser {
                      std::unique_ptr<MasparParse>& out,
                      const cdg::CancelFn& cancel = {}) const;
 
-  // Factored (hoisted) forms; each element's `.full` member is the
-  // plain compiled program.
+  // Factored (hoisted) forms; each element's `.full` member is a copy
+  // of the grammar's constraint.
   const std::vector<cdg::FactoredConstraint>& compiled_unary() const {
     return unary_;
   }

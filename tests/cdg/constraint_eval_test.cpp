@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "cdg/constraint_parser.h"
 #include "cdg/grammar.h"
 #include "util/rng.h"
@@ -116,61 +119,80 @@ TEST_F(ConstraintEvalTest, GtLtOnPositions) {
   EXPECT_FALSE(eval_constraint(c, ctx_for({SUBJ, 1}, governor, 3)));
 }
 
-// ---------------------------------------------------------------------
-// Property: the compiled bytecode evaluator agrees with the tree-walking
-// interpreter on every constraint in a pool, over a sweep of bindings.
-// ---------------------------------------------------------------------
-class CompiledVsInterpreted
-    : public ConstraintEvalTest,
-      public ::testing::WithParamInterface<const char*> {};
-
-TEST_P(CompiledVsInterpreted, Agree) {
-  Constraint c = parse_constraint(g, GetParam());
-  CompiledConstraint cc = compile_constraint(c);
-  EXPECT_EQ(cc.arity, c.arity);
-  EvalContext ctx;
-  ctx.sentence = &s;
-  for (LabelId lx : {SUBJ, ROOT, DET}) {
-    for (WordPos mx = 0; mx <= 3; ++mx) {
-      for (RoleId rx : {governor, needs}) {
-        for (WordPos px = 1; px <= 3; ++px) {
-          ctx.x = Binding{{lx, mx}, rx, px};
-          for (LabelId ly : {SUBJ, ROOT, DET}) {
-            for (WordPos my = 0; my <= 3; ++my) {
-              ctx.y = Binding{{ly, my}, governor, (px % 3) + 1};
-              EXPECT_EQ(eval_constraint(c, ctx), eval_compiled(cc, ctx))
-                  << c.root.to_string_with(g);
-            }
-          }
-        }
+// A factored constraint owns copies of its parts, so it evaluates the
+// same after the Constraint and Grammar it came from are destroyed (a
+// part left pointing into either is a use-after-free under ASan).  Its
+// empty conjunctions hold.
+TEST_F(ConstraintEvalTest, FactoredConstraintOutlivesItsSourceAndGrammar) {
+  struct Parts {
+    bool full, guard, rest, ante_x, ante_y, cons_x, cons_y;
+  };
+  const auto parts_of = [](const FactoredConstraint& f,
+                           const EvalContext& ctx) {
+    const Sentence& sent = *ctx.sentence;
+    return Parts{eval_constraint(f.full, ctx),
+                 eval_hoisted(f.unary_guard, sent, ctx.x),
+                 holds(f.unary_rest, ctx),
+                 eval_hoisted(f.ante_x, sent, ctx.x),
+                 eval_hoisted(f.ante_y, sent, ctx.y),
+                 eval_hoisted(f.cons_x, sent, ctx.x),
+                 eval_hoisted(f.cons_y, sent, ctx.y)};
+  };
+  std::vector<EvalContext> ctxs;
+  for (LabelId l : {SUBJ, ROOT, DET})
+    for (WordPos m = 0; m <= 3; ++m)
+      for (WordPos p = 1; p <= 3; ++p) {
+        EvalContext ctx = ctx_for({l, m}, p == 3 ? governor : needs, p);
+        ctx.y = Binding{{SUBJ, p}, governor, (p % 3) + 1};
+        ctxs.push_back(ctx);
       }
+
+  std::vector<FactoredConstraint> factored;
+  std::vector<Parts> before;
+  {
+    auto source = std::make_unique<Grammar>(g);
+    source->add_constraint_text(
+        "verbs-are-roots",
+        "(if (and (eq (cat (word (pos x))) verb) (eq (role x) governor)) "
+        "(and (eq (lab x) ROOT) (eq (mod x) nil)))");
+    source->add_constraint_text(
+        "subj-left-of-root",
+        "(if (and (eq (lab x) SUBJ) (eq (lab y) ROOT)) "
+        "(and (eq (mod x) (pos y)) (lt (pos x) (pos y))))");
+    factored = factor_all(source->unary_constraints());
+    for (FactoredConstraint& f : factor_all(source->binary_constraints()))
+      factored.push_back(std::move(f));
+    for (const FactoredConstraint& f : factored)
+      for (const EvalContext& ctx : ctxs) before.push_back(parts_of(f, ctx));
+  }  // grammar and constraints destroyed
+
+  std::size_t k = 0;
+  for (const FactoredConstraint& f : factored) {
+    for (const EvalContext& ctx : ctxs) {
+      const Parts now = parts_of(f, ctx);
+      const Parts& then = before[k++];
+      EXPECT_EQ(now.full, then.full) << f.full.name;
+      EXPECT_EQ(now.guard, then.guard) << f.full.name;
+      EXPECT_EQ(now.rest, then.rest) << f.full.name;
+      EXPECT_EQ(now.ante_x, then.ante_x) << f.full.name;
+      EXPECT_EQ(now.ante_y, then.ante_y) << f.full.name;
+      EXPECT_EQ(now.cons_x, then.cons_x) << f.full.name;
+      EXPECT_EQ(now.cons_y, then.cons_y) << f.full.name;
     }
   }
-}
 
-INSTANTIATE_TEST_SUITE_P(
-    Pool, CompiledVsInterpreted,
-    ::testing::Values(
-        "(if (and (eq (cat (word (pos x))) verb) (eq (role x) governor)) "
-        "(and (eq (lab x) ROOT) (eq (mod x) nil)))",
-        "(if (and (eq (lab x) SUBJ) (eq (lab y) ROOT)) "
-        "(and (eq (mod x) (pos y)) (lt (pos x) (pos y))))",
-        "(if (and (eq (lab x) DET) (eq (cat (word (pos y))) noun)) "
-        "(and (eq (mod x) (pos y)) (lt (pos x) (pos y))))",
-        "(if (not (eq (mod x) nil)) (or (eq (lab x) SUBJ) (gt (pos x) 1)))",
-        "(if (eq (cat (word (mod x))) noun) (eq (lab x) DET))",
-        "(if (or (eq (lab x) SUBJ) (eq (lab y) SUBJ) (eq (lab x) DET)) "
-        "(and (not (eq (mod x) (mod y))) (lt (mod x) 4)))",
-        "(if (gt (mod x) (mod y)) (gt (pos x) (pos y)))"));
-
-TEST_F(ConstraintEvalTest, CompileAllMatchesSizes) {
-  Constraint a = parse_constraint(g, "(if (eq (lab x) SUBJ) (gt (pos x) 1))");
-  Constraint b = parse_constraint(
-      g, "(if (eq (lab x) SUBJ) (eq (mod x) (pos y)))");
-  auto compiled = compile_all({a, b});
-  ASSERT_EQ(compiled.size(), 2u);
-  EXPECT_EQ(compiled[0].arity, 1);
-  EXPECT_EQ(compiled[1].arity, 2);
+  // The unary constraint hoists nothing into the binary parts, and the
+  // binary one's consequent has no y-only conjunct: each is an `and`
+  // with no operands, which holds for every binding.
+  ASSERT_EQ(factored.size(), 2u);
+  EXPECT_TRUE(factored[0].ante_x.args.empty());
+  EXPECT_TRUE(factored[1].cons_y.args.empty());
+  EXPECT_TRUE(factored[1].unary_guard.args.empty());
+  for (const EvalContext& ctx : ctxs) {
+    EXPECT_TRUE(eval_hoisted(factored[0].ante_x, s, ctx.x));
+    EXPECT_TRUE(eval_hoisted(factored[1].cons_y, s, ctx.y));
+    EXPECT_TRUE(eval_hoisted(Expr{Op::And}, s, ctx.x));
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Constraint-language fuzzing: random well-typed constraint ASTs are
-// printed to the paper's surface syntax, re-parsed, compiled, and
-// evaluated — printer, parser, type-checker, interpreter and bytecode
-// must all agree on every binding.
+// printed to the paper's surface syntax, re-parsed, factored and
+// evaluated — printer, parser, type-checker, interpreter and the
+// hoisting pass must all agree on every binding.
 #include <gtest/gtest.h>
 
 #include "cdg/constraint_eval.h"
@@ -177,9 +177,6 @@ TEST_P(ConstraintFuzz, PrintParseEvalRoundTrip) {
     EXPECT_EQ(reparsed.arity, original.arity) << text;
     EXPECT_EQ(reparsed.root.to_string_with(g), text) << "print fixpoint";
 
-    const CompiledConstraint cc_orig = compile_constraint(original);
-    const CompiledConstraint cc_re = compile_constraint(reparsed);
-
     // Evaluate everything on a sweep of bindings.
     EvalContext ctx;
     ctx.sentence = &s;
@@ -194,8 +191,6 @@ TEST_P(ConstraintFuzz, PrintParseEvalRoundTrip) {
                       1 + static_cast<int>(rng.next_below(3))};
       const bool a = eval_constraint(original, ctx);
       EXPECT_EQ(eval_constraint(reparsed, ctx), a) << text;
-      EXPECT_EQ(eval_compiled(cc_orig, ctx), a) << text;
-      EXPECT_EQ(eval_compiled(cc_re, ctx), a) << text;
     }
   }
 }
@@ -205,9 +200,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConstraintFuzz, ::testing::Range(0, 6));
 // Differential check of the predicate-hoisting pass (constraint_eval.h
 // "Factored form"): on random well-typed constraints, the three-valued
 // decision the masked sweep derives from the hoisted parts must be
-// sound against the full program, and each hoisted part must equal the
-// conjunction of its per-term programs (what the mask builder
-// evaluates).
+// sound against the original constraint, and each hoisted part must
+// equal the conjunction of its terms (what the mask builder evaluates).
 TEST_P(ConstraintFuzz, FactoredDecisionsAreSoundAgainstFullProgram) {
   auto bundle = grammars::make_toy_grammar();
   const Grammar& g = bundle.grammar;
@@ -217,7 +211,7 @@ TEST_P(ConstraintFuzz, FactoredDecisionsAreSoundAgainstFullProgram) {
   auto conj_of_terms = [&](const std::vector<HoistedTerm>& terms,
                            const Binding& b) {
     for (const HoistedTerm& t : terms)
-      if (!eval_hoisted(t.prog, s, b)) return false;
+      if (!eval_hoisted(t.expr, s, b)) return false;
     return true;
   };
   auto random_binding = [&]() {
@@ -232,29 +226,30 @@ TEST_P(ConstraintFuzz, FactoredDecisionsAreSoundAgainstFullProgram) {
     Constraint original = fuzz.constraint();
     const FactoredConstraint f = factor_constraint(original);
     const std::string text = original.root.to_string_with(g);
-    EXPECT_EQ(f.arity, original.arity) << text;
+    EXPECT_EQ(f.full.arity, original.arity) << text;
 
     EvalContext ctx;
     ctx.sentence = &s;
     for (int trial = 0; trial < 60; ++trial) {
       ctx.x = random_binding();
       ctx.y = random_binding();
-      const bool sat = eval_compiled(f.full, ctx);
-      EXPECT_EQ(eval_constraint(original, ctx), sat) << text;
+      const bool sat = eval_constraint(original, ctx);
+      EXPECT_EQ(eval_constraint(f.full, ctx), sat) << text;
 
-      if (f.arity == 1) {
+      if (f.full.arity == 1) {
         // Unary split: guard false => vacuously satisfied; guard true
-        // => the rest decides, identically to the full program.
+        // => the rest decides, identically to the original constraint.
         const bool guard = eval_hoisted(f.unary_guard, s, ctx.x);
-        if (!guard)
+        if (!guard) {
           EXPECT_TRUE(sat) << text;
-        else
-          EXPECT_EQ(eval_compiled(f.unary_rest, ctx), sat) << text;
+        } else {
+          EXPECT_EQ(holds(f.unary_rest, ctx), sat) << text;
+        }
         continue;
       }
 
       // Part == conjunction of its terms (one variable assignment; the
-      // hoisted programs read whichever slot holds the binding).
+      // hoisted parts read whichever slot holds the binding).
       const bool ax = eval_hoisted(f.ante_x, s, ctx.x);
       const bool ay = eval_hoisted(f.ante_y, s, ctx.y);
       const bool cx = eval_hoisted(f.cons_x, s, ctx.x);
@@ -265,11 +260,15 @@ TEST_P(ConstraintFuzz, FactoredDecisionsAreSoundAgainstFullProgram) {
       EXPECT_EQ(cy, conj_of_terms(f.cons_y_terms, ctx.y)) << text;
 
       // The sweep's three-valued decision (constraint_eval.h):
-      if (!ax || !ay) EXPECT_TRUE(sat) << text << " (A known false)";
-      if (cx && cy && !f.cons_residual)
+      if (!ax || !ay) {
+        EXPECT_TRUE(sat) << text << " (A known false)";
+      }
+      if (cx && cy && !f.cons_residual) {
         EXPECT_TRUE(sat) << text << " (C known true)";
-      if (ax && ay && !f.ante_residual && (!cx || !cy))
+      }
+      if (ax && ay && !f.ante_residual && (!cx || !cy)) {
         EXPECT_FALSE(sat) << text << " (A true, C false)";
+      }
     }
   }
 }

@@ -51,16 +51,16 @@ TEST_F(MaskCacheTest, MaskBitsEqualHoistedEvalAtAlivePositions) {
                         net.role_id_of(role), net.word_of_role(role)};
         EXPECT_EQ(m.ante_x.test(rv),
                   eval_hoisted(c.ante_x, net.sentence(), b))
-            << c.name << " ante_x role " << role << " rv " << rv;
+            << c.full.name << " ante_x role " << role << " rv " << rv;
         EXPECT_EQ(m.ante_y.test(rv),
                   eval_hoisted(c.ante_y, net.sentence(), b))
-            << c.name << " ante_y role " << role << " rv " << rv;
+            << c.full.name << " ante_y role " << role << " rv " << rv;
         EXPECT_EQ(m.cons_x.test(rv),
                   eval_hoisted(c.cons_x, net.sentence(), b))
-            << c.name << " cons_x role " << role << " rv " << rv;
+            << c.full.name << " cons_x role " << role << " rv " << rv;
         EXPECT_EQ(m.cons_y.test(rv),
                   eval_hoisted(c.cons_y, net.sentence(), b))
-            << c.name << " cons_y role " << role << " rv " << rv;
+            << c.full.name << " cons_y role " << role << " rv " << rv;
       });
     }
   }
@@ -130,8 +130,8 @@ TEST_F(MaskCacheTest, EffectiveCountsAndFixpointsMatchPlainPath) {
     EXPECT_EQ(cm.effective_binary_evals(), cp.binary_evals) << i;
     EXPECT_EQ(cm.eliminations, cp.eliminations) << i;
     EXPECT_EQ(cm.arc_zeroings, cp.arc_zeroings) << i;
-    // The masked path must actually be masking (not falling back to the
-    // VM for everything) on real sentences.
+    // The masked path must actually be masking (not evaluating every
+    // pair against the whole constraint) on real sentences.
     EXPECT_GT(cm.masked_binary_pairs, 0u) << i;
     EXPECT_LT(cm.binary_evals, cp.binary_evals) << i;
   }

@@ -444,11 +444,12 @@ TEST(ParseServiceChaos, SeededChaosRunAccountsEveryRequestExactlyOnce) {
                 r.status == RequestStatus::Faulted)
         << static_cast<int>(r.status);
     // Degraded or not, an Ok response lands on the one true fixpoint.
-    if (r.status == RequestStatus::Ok)
+    if (r.status == RequestStatus::Ok) {
       EXPECT_EQ(r.domains_hash,
                 reference[static_cast<std::size_t>(shape[
                     static_cast<std::size_t>(i)])])
           << i;
+    }
   }
 
   // Exactly-once accounting: the disjoint serve status counters sum to
