@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -124,9 +125,8 @@ TEST_F(ConstraintEvalTest, GtLtOnPositions) {
 // part left pointing into either is a use-after-free under ASan).  Its
 // empty conjunctions hold.
 TEST_F(ConstraintEvalTest, FactoredConstraintOutlivesItsSourceAndGrammar) {
-  struct Parts {
-    bool full, guard, rest, ante_x, ante_y, cons_x, cons_y;
-  };
+  // Every part's verdict: full, guard, rest, ante_x/y, cons_x/y.
+  using Parts = std::array<bool, 7>;
   const auto parts_of = [](const FactoredConstraint& f,
                            const EvalContext& ctx) {
     const Sentence& sent = *ctx.sentence;
@@ -167,19 +167,9 @@ TEST_F(ConstraintEvalTest, FactoredConstraintOutlivesItsSourceAndGrammar) {
   }  // grammar and constraints destroyed
 
   std::size_t k = 0;
-  for (const FactoredConstraint& f : factored) {
-    for (const EvalContext& ctx : ctxs) {
-      const Parts now = parts_of(f, ctx);
-      const Parts& then = before[k++];
-      EXPECT_EQ(now.full, then.full) << f.full.name;
-      EXPECT_EQ(now.guard, then.guard) << f.full.name;
-      EXPECT_EQ(now.rest, then.rest) << f.full.name;
-      EXPECT_EQ(now.ante_x, then.ante_x) << f.full.name;
-      EXPECT_EQ(now.ante_y, then.ante_y) << f.full.name;
-      EXPECT_EQ(now.cons_x, then.cons_x) << f.full.name;
-      EXPECT_EQ(now.cons_y, then.cons_y) << f.full.name;
-    }
-  }
+  for (const FactoredConstraint& f : factored)
+    for (const EvalContext& ctx : ctxs)
+      EXPECT_EQ(parts_of(f, ctx), before[k++]) << f.full.name;
 
   // The unary constraint hoists nothing into the binary parts, and the
   // binary one's consequent has no y-only conjunct: each is an `and`
