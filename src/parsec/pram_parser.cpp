@@ -70,7 +70,7 @@ void PramParser::apply_binary_parallel(Network& net, pram::Machine& m,
   m.for_all(std::max<std::size_t>(pairs, 1), [](std::size_t) {});
   // The actual evaluation (performed host-side through the masked
   // sweep, but each pair decided independently, exactly as the step
-  // models).  Sweep accounting only: the VM/masked-pair charges stay
+  // models).  Sweep accounting only: the eval/masked-pair charges stay
   // with the step model's processor counts (the PRAM cost story), but
   // the host-side sweeps are real work and the perf gate pins them per
   // backend.

@@ -4,9 +4,11 @@
 // Domains are std::set<RoleValue>s and the arcs one explicit set of
 // allowed role-value pairs.  The pairs exist only between values that
 // survived unary propagation.  Every constraint is run through the AST
-// interpreter (cdg::eval_constraint).  No arena, truth masks, hoisting,
-// bytecode or kernels.  The engines share all of those, so agreement
-// between them proves little; agreement with this file is the check.
+// interpreter (cdg::eval_constraint).  No arena, truth masks, hoisting
+// or kernels.  The engines share all of those, so agreement between
+// them proves little; agreement with this file is the check.  The
+// interpreter itself is the one evaluator the engines run too; its
+// semantics are pinned by constraint_eval_test and the golden tables.
 #pragma once
 
 #include <set>

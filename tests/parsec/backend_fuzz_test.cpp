@@ -138,8 +138,8 @@ TEST(BackendFuzz, PooledArenaReuseIsBitIdenticalAndAllocationFree) {
 }
 
 // Masked vs plain evaluation differential over a 60-sentence fuzz
-// corpus: the vectorized path (truth masks + residual VM, the default)
-// and the per-pair VM path (use_masks = false) must reach bit-identical
+// corpus: the vectorized path (truth masks + residual, the default)
+// and the per-pair path (use_masks = false) must reach bit-identical
 // fixpoints on every sentence — the CI perf-smoke gate asserts the same
 // property via bench_ablation_masks.
 TEST(BackendFuzz, MaskedAndPlainSerialBitIdenticalOnFuzzCorpus) {

@@ -1,6 +1,6 @@
 // Cross-tier and cross-kernel identity for the runtime-dispatched SIMD
 // sweep layer (cdg/simd.h): every ISA tier (scalar / AVX2 / AVX-512,
-// clamped to what the host supports), the per-pair VM path and the SoA
+// clamped to what the host supports), the per-pair path and the SoA
 // batch parser must all reach the same fixpoint bit for bit — the
 // dispatch tier and the batching are pure throughput knobs.  This is
 // the test-side half of the CI forced-scalar leg and the bench ISA
