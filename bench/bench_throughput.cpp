@@ -11,7 +11,7 @@
 //
 //   bench_throughput [--sentences N] [--lo LEN] [--hi LEN]
 //                    [--threads T1,T2,...] [--batch B]
-//                    [--backend serial|omp|pram|maspar] [--json PATH]
+//                    [--backend serial|pram|maspar|mesh] [--json PATH]
 //                    [--metrics-out PATH] [--trace-out PATH]
 //                    [--fault-plan PATH] [--shed-load] [--cache]
 //                    [--dup-sweep] [--resilience-out PATH]

@@ -4,7 +4,7 @@
 //
 //   parse_server_demo [--threads N] [--sentences N] [--batch N]
 //                     [--lo LEN] [--hi LEN]
-//                     [--backend serial|omp|pram|maspar]
+//                     [--backend serial|pram|maspar|mesh]
 //                     [--deadline-ms MS] [--quiet]
 //
 // Exit status: 0 if every request completed (timeouts count as

@@ -1,7 +1,7 @@
 // parsec_cli — command-line CDG parser.
 //
 //   parsec_cli [--grammar FILE | --builtin toy|english|anbncn]
-//              [--engine seq|pram|maspar|omp] [--show-network]
+//              [--engine seq|pram|maspar] [--show-network]
 //              [--all-parses N] [sentence... | reads lines from stdin]
 //
 // Exit status: 0 if every input sentence is accepted, 1 otherwise.
@@ -20,7 +20,6 @@
 #include "grammars/grammar_io.h"
 #include "grammars/toy_grammar.h"
 #include "parsec/maspar_parser.h"
-#include "parsec/omp_parser.h"
 #include "parsec/pram_parser.h"
 
 namespace {
@@ -30,7 +29,7 @@ using namespace parsec;
 int usage() {
   std::cerr
       << "usage: parsec_cli [--grammar FILE | --builtin toy|english|anbncn]\n"
-         "                  [--engine seq|pram|maspar|omp] [--show-network]\n"
+         "                  [--engine seq|pram|maspar] [--show-network]\n"
          "                  [--dot] [--all-parses N] [sentence words...]\n"
          "With no sentence words, parses one sentence per stdin line.\n";
   return 2;
@@ -67,12 +66,6 @@ bool parse_sentence(const Options& opt, const grammars::CdgBundle& bundle,
     accepted = r.accepted;
     std::cout << "[pram: " << r.stats.time_steps << " steps, peak "
               << r.stats.max_processors << " processors]\n";
-  } else if (opt.engine == "omp") {
-    engine::OmpParser p(bundle.grammar);
-    auto r = p.parse(net);
-    accepted = r.accepted;
-    std::cout << "[omp: " << r.threads_used << " threads, "
-              << r.seconds * 1e3 << " ms]\n";
   } else if (opt.engine == "maspar") {
     engine::MasparOptions mopt;
     mopt.filter_iterations = -1;
@@ -143,8 +136,7 @@ int main(int argc, char** argv) {
       opt.words.push_back(arg);
     }
   }
-  if (opt.engine != "seq" && opt.engine != "pram" && opt.engine != "omp" &&
-      opt.engine != "maspar")
+  if (opt.engine != "seq" && opt.engine != "pram" && opt.engine != "maspar")
     return usage();
 
   grammars::CdgBundle bundle;

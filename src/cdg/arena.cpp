@@ -59,13 +59,8 @@ void NetworkArena::reshape(int roles, int domain_size, std::size_t mask_slots,
   voff_.assign(R + 1, 0);
   V_ = VW_ = 0;
 
-  // Region sizes in words.  The uint8 flags are carved out of the same
-  // uint64 buffer; word alignment of the region start keeps the
-  // reinterpret_cast valid.
-  const std::size_t domains_w = R * dstride_;
-  const std::size_t flags_w = ceil_div(R * D, sizeof(Word));
-  flags_off_ = domains_w;
-  masks_off_ = round_up(flags_off_ + flags_w, kAlignWords);
+  // The masks follow the domains; offsets and sizes are in words.
+  masks_off_ = R * dstride_;
   const std::size_t total = masks_off_ + mask_slots_ * R * stride_;
 
   // Slack so base() can be bumped to the next 64-byte boundary

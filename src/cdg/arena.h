@@ -7,13 +7,11 @@
 // structure-of-arrays form:
 //
 //   shape region, sized from (R, D, mask slots) at reshape():
-//   [ domains | rv flags | masks ]
+//   [ domains | masks ]
 //
 //   * domains  — R rows of S words (S = ceil(D / 64)): the dense
 //                role-value bitsets every engine, the hash, the result
 //                cache and the wire read;
-//   * rv flags — R*D bytes of victim marks for the parallel engines'
-//                unary staging (each user zeroes first);
 //   * masks    — `mask_slots` rows of R×S words: per-(constraint part,
 //                role) truth bitmasks on the dense axis
 //                (kernels::MaskCache); 4 slots per binary constraint.
@@ -193,14 +191,6 @@ class NetworkArena {
     return util::BitSpan(pairs_.data() + pmask_off(kMaskParts), V_);
   }
 
-  // ---- elimination staging -------------------------------------------
-  /// One byte per (role, rv): parallel engines' victim marks.  Zero
-  /// before use.
-  std::span<std::uint8_t> rv_flags() {
-    return {reinterpret_cast<std::uint8_t*>(base() + flags_off_),
-            static_cast<std::size_t>(R_) * D_};
-  }
-
   // ---- constraint masks ----------------------------------------------
   /// Rows of per-role truth bitmasks for the vectorized evaluation
   /// layer: mask(slot, role) holds one bit per role value.  Contents
@@ -268,9 +258,8 @@ class NetworkArena {
   std::size_t dstride_ = 0;  // words per domain row (padded)
   std::size_t base_pad_ = 0;  // words from buf_.data() to the aligned base
   std::size_t mask_slots_ = 0;
-  // Shape-region offsets, in words from base() (the 64-byte-aligned
-  // start); the domains start at 0.
-  std::size_t flags_off_ = 0;
+  // Shape-region offset of the masks, in words from base() (the
+  // 64-byte-aligned start); the domains start at 0.
   std::size_t masks_off_ = 0;
   std::vector<Word> buf_;    // shape region
   std::vector<Word> pairs_;  // pair region

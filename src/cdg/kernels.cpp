@@ -118,19 +118,6 @@ void propagate_unary(const Expr& e, const Sentence& sent,
   });
 }
 
-void propagate_unary(const Expr& e, const Sentence& sent,
-                     const RvIndexer& ix, RoleId rid, WordPos w,
-                     util::ConstBitSpan domain, std::span<std::uint8_t> flags,
-                     std::size_t* evals) {
-  EvalContext ctx;
-  ctx.sentence = &sent;
-  domain.for_each([&](std::size_t rv) {
-    ctx.x = Binding{ix.decode(static_cast<int>(rv)), rid, w};
-    if (evals) ++*evals;
-    if (!holds(e, ctx)) flags[rv] = 1;
-  });
-}
-
 int sweep_binary(NetworkArena& a, const Constraint& c, const Sentence& sent,
                  const RvIndexer& ix, int roles_per_word, std::size_t* evals) {
   const std::size_t V = a.pair_values();
@@ -362,41 +349,22 @@ int sweep_binary_masked(NetworkArena& a, const FactoredConstraint& c,
   return zeroed;
 }
 
-namespace {
-
-/// Shared guard step of the masked unary kernels: true when the
-/// role-value-independent guard fails, i.e. the whole domain is
-/// vacuously satisfied and the per-value sweep can be skipped.
-bool unary_guard_fails(const FactoredConstraint& c, const Sentence& sent,
-                       RoleId rid, WordPos w, util::ConstBitSpan domain,
-                       const MaskedCounters& counters) {
-  if (c.unary_guard.args.empty()) return false;
-  if (counters.build_evals) ++*counters.build_evals;
-  const Binding b{RoleValue{}, rid, w};  // rv unused: guard is rv-free
-  if (eval_hoisted(c.unary_guard, sent, b)) return false;
-  if (counters.masked) *counters.masked += domain.count();
-  return true;
-}
-
-}  // namespace
-
 void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
                             const RvIndexer& ix, RoleId rid, WordPos w,
                             util::ConstBitSpan domain,
                             std::vector<int>& victims,
                             const MaskedCounters& counters) {
-  if (unary_guard_fails(c, sent, rid, w, domain, counters)) return;
+  if (!c.unary_guard.args.empty()) {
+    // The guard is rv-free: when it fails, the whole domain is
+    // vacuously satisfied and the per-value sweep is skipped.
+    if (counters.build_evals) ++*counters.build_evals;
+    const Binding b{RoleValue{}, rid, w};  // rv unused
+    if (!eval_hoisted(c.unary_guard, sent, b)) {
+      if (counters.masked) *counters.masked += domain.count();
+      return;
+    }
+  }
   propagate_unary(c.unary_rest, sent, ix, rid, w, domain, victims,
-                  counters.evals);
-}
-
-void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
-                            const RvIndexer& ix, RoleId rid, WordPos w,
-                            util::ConstBitSpan domain,
-                            std::span<std::uint8_t> flags,
-                            const MaskedCounters& counters) {
-  if (unary_guard_fails(c, sent, rid, w, domain, counters)) return;
-  propagate_unary(c.unary_rest, sent, ix, rid, w, domain, flags,
                   counters.evals);
 }
 

@@ -1,9 +1,9 @@
 // Engine-agnostic filtering kernels over arena spans.
 //
-// Every host backend — the sequential parser, the OpenMP engine, the
-// CRCW P-RAM step model and the topology models — performs the same
-// bit-level operations: zero an eliminated role value's row and column,
-// test support, evaluate a unary constraint over a domain, and sweep a
+// Every host backend — the sequential parser, the CRCW P-RAM step
+// model and the topology models — performs the same bit-level
+// operations: zero an eliminated role value's row and column, test
+// support, evaluate a unary constraint over a domain, and sweep a
 // binary constraint over the pairs.  They are defined once here,
 // expressed over NetworkArena spans, so the pair layout is known only to
 // cdg/arena, cdg/network and this layer.
@@ -88,15 +88,6 @@ void and_support_of(const NetworkArena& a, int role, util::BitSpan sup);
 void propagate_unary(const Expr& e, const Sentence& sent,
                      const RvIndexer& ix, RoleId rid, WordPos w,
                      util::ConstBitSpan domain, std::vector<int>& victims,
-                     std::size_t* evals = nullptr);
-
-/// As above, but marks victims by setting flags[rv] = 1.  Parallel
-/// engines stage eliminations in per-role slices of the arena's
-/// rv_flags region (disjoint writes, race-free), then eliminate in
-/// role-major, rv-ascending order.
-void propagate_unary(const Expr& e, const Sentence& sent,
-                     const RvIndexer& ix, RoleId rid, WordPos w,
-                     util::ConstBitSpan domain, std::span<std::uint8_t> flags,
                      std::size_t* evals = nullptr);
 
 /// Sweeps one binary constraint over every live pair of the pair matrix:
@@ -226,14 +217,6 @@ void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
                             const RvIndexer& ix, RoleId rid, WordPos w,
                             util::ConstBitSpan domain,
                             std::vector<int>& victims,
-                            const MaskedCounters& counters);
-
-/// As above, but marks victims by setting flags[rv] = 1 (parallel
-/// engines' staging; see the flags overload of propagate_unary).
-void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
-                            const RvIndexer& ix, RoleId rid, WordPos w,
-                            util::ConstBitSpan domain,
-                            std::span<std::uint8_t> flags,
                             const MaskedCounters& counters);
 
 // ---------------------------------------------------------------------

@@ -173,23 +173,28 @@ int Network::apply_binary(const Constraint& c) {
   return zeroed;
 }
 
-int Network::apply_unary(const FactoredConstraint& c) {
+int Network::sweep_unary(const FactoredConstraint& c,
+                         const kernels::MaskedCounters& sink) {
   assert(c.full.arity == 1);
   begin_unary(c.full.name);
-  kernels::MaskedCounters mc;
-  mc.evals = &counters_.unary_evals;
-  mc.masked = &counters_.masked_unary_decided;
-  mc.build_evals = &counters_.mask_build_evals;
   int eliminated = 0;
   const int R = num_roles();
   for (int role = 0; role < R; ++role) {
     victims_.clear();
     kernels::propagate_unary_masked(c, sentence_, indexer_, role_id_of(role),
                                     word_of_role(role), domain(role), victims_,
-                                    mc);
+                                    sink);
     eliminated += eliminate_batch(role, victims_);
   }
   return eliminated;
+}
+
+int Network::apply_unary(const FactoredConstraint& c) {
+  kernels::MaskedCounters mc;
+  mc.evals = &counters_.unary_evals;
+  mc.masked = &counters_.masked_unary_decided;
+  mc.build_evals = &counters_.mask_build_evals;
+  return sweep_unary(c, mc);
 }
 
 void Network::ensure_masks(const FactoredConstraint& c, std::size_t slot) {

@@ -12,10 +12,10 @@
 // the MasPar spreads across its PEs.
 //
 // Storage: every bit of network state (domains, the pair matrix, truth
-// masks, elimination staging) lives in one NetworkArena (cdg/arena.h),
-// mirroring the paper's flat PE-array layout (§2.2.1).  Accessors hand
-// out spans/views into that arena, and the propagation operations route
-// through the shared cdg/kernels.h layer used by every host engine.
+// masks) lives in one NetworkArena (cdg/arena.h), mirroring the paper's
+// flat PE-array layout (§2.2.1).  Accessors hand out spans/views into
+// that arena, and the propagation operations route through the shared
+// cdg/kernels.h layer used by every host engine.
 //
 // Arc layout: domains are dense D-bit rows, but the arcs are built on
 // first use (the first binary constraint, consistency sweep or support
@@ -224,7 +224,15 @@ class Network {
   /// Hoisted-guard unary propagation: identical eliminations to
   /// apply_unary(c.full), but roles whose guard fails skip the per-value
   /// sweep entirely (charged to counters().masked_unary_decided).
+  /// Charges every unary counter.
   int apply_unary(const FactoredConstraint& c);
+
+  /// The same propagation, charging the masked-kernel counters only
+  /// through `sink` (eliminations are always charged): the unary twin
+  /// of sweep_binary for the step models.  Returns the number of role
+  /// values eliminated.
+  int sweep_unary(const FactoredConstraint& c,
+                  const kernels::MaskedCounters& sink);
 
   /// Masked binary sweep: identical pairs zeroed to
   /// apply_binary(c.full), with most pairs decided by bitwise row
@@ -330,7 +338,7 @@ class Network {
   Sentence sentence_;
   RvIndexer indexer_;
   Options opt_;
-  NetworkArena arena_;  // domains + pair matrix + staging + masks
+  NetworkArena arena_;  // domains + pair matrix + masks
   kernels::MaskCache mask_cache_;
   bool arcs_built_ = false;
   // Binary-constraint slot whose masks sit on the pair axis.

@@ -80,6 +80,24 @@ struct Reader {
   }
 };
 
+// Wire byte of each backend, indexed by engine::Backend.  Byte 1 was
+// the deleted OpenMP engine: it stays reserved and decodes as Malformed
+// like any other unknown value.
+constexpr std::uint8_t kBackendBytes[engine::kNumBackends] = {0, 2, 3, 4};
+
+std::uint8_t backend_byte(engine::Backend b) {
+  return kBackendBytes[static_cast<std::size_t>(b)];
+}
+
+bool backend_of_byte(std::uint8_t byte, engine::Backend& out) {
+  for (std::size_t i = 0; i < engine::kNumBackends; ++i)
+    if (kBackendBytes[i] == byte) {
+      out = engine::kAllBackends[i];
+      return true;
+    }
+  return false;
+}
+
 void put_header(std::vector<std::uint8_t>& out, FrameType type,
                 std::uint32_t payload_len) {
   out.insert(out.end(), kMagic, kMagic + 4);
@@ -142,7 +160,7 @@ const char* to_string(DecodeStatus s) {
 bool encode_request(const WireRequest& req, std::vector<std::uint8_t>& out) {
   const std::size_t header_at = out.size();
   put_header(out, FrameType::ParseRequest, 0);
-  put_u8(out, static_cast<std::uint8_t>(req.backend));
+  put_u8(out, backend_byte(req.backend));
   put_u8(out, req.flags);
   put_u32(out, req.deadline_ms);
   put_u64(out, req.idempotency_key);  // v2
@@ -163,7 +181,7 @@ bool encode_response(const WireResponse& resp, std::vector<std::uint8_t>& out) {
   const std::size_t header_at = out.size();
   put_header(out, FrameType::ParseResponse, 0);
   put_u8(out, static_cast<std::uint8_t>(resp.status));
-  put_u8(out, static_cast<std::uint8_t>(resp.served_backend));
+  put_u8(out, backend_byte(resp.served_backend));
   std::uint8_t bits = 0;
   if (resp.accepted) bits |= kBitAccepted;
   if (resp.cached) bits |= kBitCached;
@@ -245,8 +263,7 @@ DecodeStatus decode_request(const std::uint8_t* buf, std::size_t n,
   if (version >= 2 && !r.get_u64(out.idempotency_key))
     return DecodeStatus::Truncated;
   if (!r.get_str16(out.grammar)) return DecodeStatus::Truncated;
-  if (backend >= engine::kNumBackends) return DecodeStatus::Malformed;
-  out.backend = static_cast<engine::Backend>(backend);
+  if (!backend_of_byte(backend, out.backend)) return DecodeStatus::Malformed;
   std::uint16_t words = 0;
   if (!r.get_u16(words)) return DecodeStatus::Truncated;
   out.words.clear();
@@ -267,10 +284,9 @@ DecodeStatus decode_response(const std::uint8_t* buf, std::size_t n,
       !r.get_u8(out.shard))
     return DecodeStatus::Truncated;
   if (status >= serve::kNumRequestStatuses ||
-      backend >= engine::kNumBackends)
+      !backend_of_byte(backend, out.served_backend))
     return DecodeStatus::Malformed;
   out.status = static_cast<serve::RequestStatus>(status);
-  out.served_backend = static_cast<engine::Backend>(backend);
   out.accepted = bits & kBitAccepted;
   out.cached = bits & kBitCached;
   out.coalesced = bits & kBitCoalesced;

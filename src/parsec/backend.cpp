@@ -13,8 +13,6 @@ const char* to_string(Backend b) {
   switch (b) {
     case Backend::Serial:
       return "serial";
-    case Backend::Omp:
-      return "omp";
     case Backend::Pram:
       return "pram";
     case Backend::Maspar:
@@ -27,7 +25,6 @@ const char* to_string(Backend b) {
 
 std::optional<Backend> backend_from_name(std::string_view name) {
   if (name == "serial" || name == "seq") return Backend::Serial;
-  if (name == "omp") return Backend::Omp;
   if (name == "pram") return Backend::Pram;
   if (name == "maspar") return Backend::Maspar;
   if (name == "mesh") return Backend::Mesh;
@@ -99,7 +96,6 @@ EngineSet::EngineSet(const cdg::Grammar& g, EngineSetOptions opt)
     : grammar_(&g),
       opt_(opt),
       serial_(g, opt.serial),
-      omp_(g, opt.omp),
       pram_(g, opt.pram),
       maspar_(g, opt.maspar),
       mesh_(g, Topology::Mesh2D, opt.mesh_filter_iterations) {}
@@ -173,7 +169,6 @@ void finish_from_network(BackendRun& run, const cdg::Network& net,
 const char* backend_span_name(Backend b) {
   switch (b) {
     case Backend::Serial: return "backend.serial";
-    case Backend::Omp: return "backend.omp";
     case Backend::Pram: return "backend.pram";
     case Backend::Maspar: return "backend.maspar";
     case Backend::Mesh: return "backend.mesh";
@@ -269,14 +264,6 @@ BackendRun run_backend_impl(const EngineSet& engines, Backend b,
       run.accepted = r.accepted;
       run.stats.consistency_iterations +=
           static_cast<std::uint64_t>(r.filter_sweeps_used);
-      break;
-    }
-    case Backend::Omp: {
-      OmpResult r = engines.omp().parse(net, cancel);
-      run.cancelled = r.cancelled;
-      run.accepted = r.accepted;
-      run.stats.consistency_iterations +=
-          static_cast<std::uint64_t>(r.consistency_iterations);
       break;
     }
     case Backend::Pram: {

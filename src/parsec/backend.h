@@ -1,7 +1,7 @@
 // Uniform backend selection over the PARSEC engines.
 //
-// The engines (sequential CDG, OpenMP host-parallel, CRCW P-RAM,
-// simulated MasPar) expose different option/result types; callers that
+// The engines (sequential CDG, CRCW P-RAM, simulated MasPar, 2-D mesh)
+// expose different option/result types; callers that
 // pick an engine per request — the CLI, the parse service, the
 // throughput bench — want one enum, one compiled-parser bundle, and one
 // outcome shape.  All engines reach the same fixpoint under unbounded
@@ -23,17 +23,15 @@
 #include "obs/metrics.h"
 #include "parsec/maspar_parser.h"
 #include "parsec/mesh_parser.h"
-#include "parsec/omp_parser.h"
 #include "parsec/pram_parser.h"
 
 namespace parsec::engine {
 
-enum class Backend { Serial, Omp, Pram, Maspar, Mesh };
+enum class Backend { Serial, Pram, Maspar, Mesh };
 
-inline constexpr Backend kAllBackends[] = {Backend::Serial, Backend::Omp,
-                                           Backend::Pram, Backend::Maspar,
-                                           Backend::Mesh};
-inline constexpr std::size_t kNumBackends = 5;
+inline constexpr Backend kAllBackends[] = {Backend::Serial, Backend::Pram,
+                                           Backend::Maspar, Backend::Mesh};
+inline constexpr std::size_t kNumBackends = 4;
 
 const char* to_string(Backend b);
 std::optional<Backend> backend_from_name(std::string_view name);
@@ -48,7 +46,7 @@ struct BackendStats {
   /// serve layer counts the request here when the worker boundary
   /// degrades the exception to RequestStatus::Faulted.
   std::uint64_t faulted = 0;
-  /// Host network work (serial / omp / pram run on a cdg::Network).
+  /// Host network work (serial / pram / mesh run on a cdg::Network).
   cdg::NetworkCounters network;
   std::uint64_t consistency_iterations = 0;
   /// P-RAM step model (pram backend only).
@@ -115,15 +113,11 @@ class NetworkScratch {
 /// to share across threads (each parse mutates only its own network).
 struct EngineSetOptions {
   EngineSetOptions() {
-    // Inside a thread-pool worker one request = one thread: the OpenMP
-    // engine must not spawn a nested team, and the MasPar engine runs
-    // filtering to the fixpoint so its result is bit-identical to the
-    // serial parser's.
-    omp.threads = 1;
+    // The MasPar engine runs filtering to the fixpoint so its result is
+    // bit-identical to the serial parser's.
     maspar.filter_iterations = -1;
   }
   cdg::ParseOptions serial;
-  OmpOptions omp;
   PramOptions pram;
   MasparOptions maspar;
   /// Mesh backend: the 2-D mesh topology model (Fig. 8 column), run to
@@ -137,7 +131,6 @@ class EngineSet {
 
   const cdg::Grammar& grammar() const { return *grammar_; }
   const cdg::SequentialParser& serial() const { return serial_; }
-  const OmpParser& omp() const { return omp_; }
   const PramParser& pram() const { return pram_; }
   const MasparParser& maspar() const { return maspar_; }
   const TopologyParser& mesh() const { return mesh_; }
@@ -147,7 +140,6 @@ class EngineSet {
   const cdg::Grammar* grammar_;
   EngineSetOptions opt_;
   cdg::SequentialParser serial_;
-  OmpParser omp_;
   PramParser pram_;
   MasparParser maspar_;
   TopologyParser mesh_;
@@ -156,7 +148,7 @@ class EngineSet {
 /// Outcome of one sentence on one backend.
 struct BackendRun {
   bool cancelled = false;  // CancelFn fired at an engine checkpoint
-                           // (all five backends poll mid-parse)
+                           // (all four backends poll mid-parse)
   bool accepted = false;
   std::size_t alive_role_values = 0;
   /// FNV-1a over the final domain bitsets; equal across backends at the

@@ -10,7 +10,6 @@
 
 namespace parsec::engine {
 
-using cdg::EvalContext;
 using cdg::FactoredConstraint;
 using cdg::Network;
 
@@ -93,14 +92,10 @@ TopoResult TopologyParser::parse(Network& net,
   charge_elem(R * D);
   charge_elem(arc_elems);
 
-  const int Di = net.domain_size();
-  auto flags = net.arena().rv_flags();
-
   // Unary constraints: one elementwise pass over role values each,
   // plus the zeroing pass for eliminated values.  Evaluation runs
   // host-side through the masked unary kernel; the charges model the
   // abstract machine, not the host shortcut.
-  std::vector<int> victims;
   {
     obs::Span span("mesh.unary");
     const std::uint64_t steps_before = r.time_steps;
@@ -111,20 +106,7 @@ TopoResult TopologyParser::parse(Network& net,
       }
       charge_elem(R * D);
       charge_elem(arc_elems / std::max<std::size_t>(1, D));  // zeroing rows
-      std::fill(flags.begin(), flags.end(), std::uint8_t{0});
-      for (int role = 0; role < net.num_roles(); ++role)
-        cdg::kernels::propagate_unary_masked(
-            c, net.sentence(), net.indexer(), net.role_id_of(role),
-            net.word_of_role(role), net.domain(role),
-            flags.subspan(static_cast<std::size_t>(role) * Di, Di),
-            cdg::kernels::MaskedCounters{});
-      for (int role = 0; role < net.num_roles(); ++role) {
-        victims.clear();
-        for (int rv = 0; rv < Di; ++rv)
-          if (flags[static_cast<std::size_t>(role) * Di + rv])
-            victims.push_back(rv);
-        net.eliminate_batch(role, victims);
-      }
+      net.sweep_unary(c, cdg::kernels::MaskedCounters{});
     }
     span.arg("time_steps", r.time_steps - steps_before);
   }

@@ -19,40 +19,19 @@ PramParser::PramParser(const cdg::Grammar& g, PramOptions opt)
 
 void PramParser::apply_unary_parallel(Network& net, pram::Machine& m,
                                       const FactoredConstraint& c) const {
-  const int R = net.num_roles();
-  const int D = net.domain_size();
-  net.refresh_alive_cache();
   // One step, one processor per alive role value: test the constraint.
   // The evaluation itself runs host-side through the shared masked
   // unary kernel; the step model only needs the processor count (which
   // reflects the abstract machine, not the host-side shortcut).
-  auto victim = net.arena().rv_flags();
-  std::fill(victim.begin(), victim.end(), std::uint8_t{0});
-  m.for_all(net.alive_cache_total(), [](std::size_t) {});
-  for (int role = 0; role < R; ++role) {
-    cdg::kernels::propagate_unary_masked(
-        c, net.sentence(), net.indexer(), net.role_id_of(role),
-        net.word_of_role(role), net.domain(role),
-        victim.subspan(static_cast<std::size_t>(role) * D, D),
-        cdg::kernels::MaskedCounters{});
-  }
+  m.for_all(net.total_alive(), [](std::size_t) {});
+  const int victims = net.sweep_unary(c, cdg::kernels::MaskedCounters{});
   // One step, O(n^2) processors per victim: zero its rows/columns and
   // clear the domain bit (the writes are to disjoint or identically-
   // valued cells, so Common CRCW holds).
-  std::size_t zero_procs = 0;
-  for (std::size_t i = 0; i < victim.size(); ++i)
-    if (victim[i])
-      zero_procs += static_cast<std::size_t>(R - 1) *
-                    static_cast<std::size_t>(D);
+  const std::size_t zero_procs = static_cast<std::size_t>(victims) *
+                                 static_cast<std::size_t>(net.num_roles() - 1) *
+                                 static_cast<std::size_t>(net.domain_size());
   m.for_all(std::max<std::size_t>(zero_procs, 1), [](std::size_t) {});
-  std::vector<int> victims;
-  for (int role = 0; role < R; ++role) {
-    victims.clear();
-    for (int rv = 0; rv < D; ++rv)
-      if (victim[static_cast<std::size_t>(role) * D + rv])
-        victims.push_back(rv);
-    net.eliminate_batch(role, victims);
-  }
 }
 
 void PramParser::apply_binary_parallel(Network& net, pram::Machine& m,

@@ -11,7 +11,7 @@
 //     submit*, so a hot reload mid-batch never swaps a grammar under an
 //     in-flight parse (the old epoch drains, new requests see the new
 //     one) — see serve/grammar_registry.h;
-//   * per-request backend selection (serial / omp / pram / maspar);
+//   * per-request backend selection (serial / pram / maspar / mesh);
 //   * optional parse-result cache keyed by (tenant, epoch, sentence
 //     hash) with single-flight coalescing of duplicate in-flight
 //     requests — bit-identical by the engines' determinism contract
@@ -19,10 +19,9 @@
 //   * per-tenant admission quotas (GrammarBundle::max_inflight) mapped
 //     onto the Overloaded status;
 //   * per-worker reusable scratch (arena-backed constraint-network
-//     pools via Network::reinit; the arena carries domains, arcs,
-//     truth masks and elimination staging in one allocation) so
-//     steady-state parsing of repeating sentence shapes is
-//     allocation-free on the hot path;
+//     pools via Network::reinit; the arena carries domains, arcs and
+//     truth masks) so steady-state parsing of repeating sentence
+//     shapes is allocation-free on the hot path;
 //   * per-request deadlines — an expired request returns a Timeout
 //     response instead of stalling the queue (every backend aborts
 //     mid-parse via cdg::CancelFn at its engine checkpoints);
@@ -200,9 +199,8 @@ class ParseService {
     /// Engine configuration for the single-grammar compat constructors
     /// (which publish the grammar into an owned registry).  Services
     /// built over an external registry take each bundle's options
-    /// instead.  Defaults keep the OpenMP engine at one thread per
-    /// request (no nested teams) and the MasPar engine at fixpoint
-    /// filtering (bit-identical results).
+    /// instead.  Defaults keep the MasPar engine at fixpoint filtering
+    /// (bit-identical results).
     engine::EngineSetOptions engines;
     /// Metrics registry the service publishes into (request counters,
     /// latency histograms, per-backend cost counters — the name/label
@@ -332,8 +330,8 @@ class ParseService {
  private:
   /// Per-worker mutable state; only worker i touches scratch_[i].  The
   /// pooled networks carry their whole arenas (domains, arc matrices,
-  /// truth masks, elimination staging) — one allocation per shape,
-  /// reused across requests.  `pinned` keeps every snapshot with live
+  /// truth masks) — allocated once per shape and reused across
+  /// requests.  `pinned` keeps every snapshot with live
   /// pooled networks alive (a pooled network references its grammar);
   /// when a request arrives under a newer epoch of a tenant, the
   /// worker purges that tenant's retired networks and drops the pin.

@@ -162,7 +162,6 @@ TEST(NetworkArena, SpansAndViewsAddressDisjointStorage) {
   auto m = a.pairs();
   m.reset_all();
   for (std::size_t v = 0; v < m.rows(); ++v) m.set(v, (v + 1) % m.cols());
-  for (auto& f : a.rv_flags()) f = 3;
   for (int r = 0; r < 4; ++r)
     for (std::size_t s = 0; s < a.mask_slots(); ++s) a.mask(s, r).set_all();
   for (int p = 0; p < NetworkArena::kMaskParts; ++p) a.pair_mask(p).set_all();
@@ -182,7 +181,6 @@ TEST(NetworkArena, SpansAndViewsAddressDisjointStorage) {
   EXPECT_EQ(m.count(), 40u);
   for (std::size_t v = 0; v < m.rows(); ++v)
     EXPECT_TRUE(m.test(v, (v + 1) % m.cols()));
-  for (auto f : a.rv_flags()) EXPECT_EQ(f, 3);
 }
 
 TEST(NetworkArena, ReinitKeepsAllocationAndPointers) {

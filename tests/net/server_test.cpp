@@ -80,7 +80,7 @@ TEST(ParseServer, LoopbackIsBitIdenticalToInProcessService) {
   net::Client client = loop.connect();
 
   const engine::Backend backends[] = {
-      engine::Backend::Serial, engine::Backend::Omp, engine::Backend::Maspar};
+      engine::Backend::Serial, engine::Backend::Pram, engine::Backend::Maspar};
   for (int n = 4; n <= 12; n += 2) {
     const std::vector<std::string> words = gen.generate(n);
 
@@ -175,7 +175,7 @@ TEST(ParseServer, GarbageAndMalformedFramesAreRejectedWithoutCrashing) {
     net::WireRequest req = wire_request({"a"}, engine::Backend::Serial);
     std::vector<std::uint8_t> frame_bytes;
     net::encode_request(req, frame_bytes);
-    frame_bytes[net::kHeaderSize] = 200;  // backend byte out of range
+    frame_bytes[net::kHeaderSize] = 1;  // reserved backend byte
     ASSERT_TRUE(net::write_full(s, frame_bytes.data(), frame_bytes.size(),
                                 &err));
     net::Frame frame;

@@ -269,25 +269,38 @@ TEST(WireProtocol, EveryTruncationIsRejectedNotCrashed) {
 }
 
 TEST(WireProtocol, PayloadLyingAboutItselfIsRejected) {
-  // backend byte out of range
   std::vector<std::uint8_t> frame;
   encode_request(sample_request(), frame);
-  auto payload = std::vector<std::uint8_t>(frame.begin() + kHeaderSize,
-                                           frame.end());
-  payload[0] = 200;
-  WireRequest req;
-  EXPECT_EQ(decode_request(payload.data(), payload.size(), req),
-            DecodeStatus::Malformed);
-
-  // response status byte out of range
+  const std::vector<std::uint8_t> payload(frame.begin() + kHeaderSize,
+                                          frame.end());
   WireResponse resp;
   std::vector<std::uint8_t> rframe;
   encode_response(resp, rframe);
-  auto rpayload = std::vector<std::uint8_t>(rframe.begin() + kHeaderSize,
-                                            rframe.end());
-  rpayload[0] = 77;
+  const std::vector<std::uint8_t> rpayload(rframe.begin() + kHeaderSize,
+                                           rframe.end());
+
+  // Backend byte reserved (1, the deleted OpenMP engine) or out of
+  // range, in the request and in the response.
+  for (std::uint8_t bad : {std::uint8_t{1}, std::uint8_t{200}}) {
+    auto lying = payload;
+    lying[0] = bad;
+    WireRequest req;
+    EXPECT_EQ(decode_request(lying.data(), lying.size(), req),
+              DecodeStatus::Malformed)
+        << int{bad};
+    auto rlying = rpayload;
+    rlying[1] = bad;
+    WireResponse back;
+    EXPECT_EQ(decode_response(rlying.data(), rlying.size(), back),
+              DecodeStatus::Malformed)
+        << int{bad};
+  }
+
+  // response status byte out of range
+  auto rlying = rpayload;
+  rlying[0] = 77;
   WireResponse back;
-  EXPECT_EQ(decode_response(rpayload.data(), rpayload.size(), back),
+  EXPECT_EQ(decode_response(rlying.data(), rlying.size(), back),
             DecodeStatus::Malformed);
 }
 

@@ -3,9 +3,9 @@
 // Inputs: the worked example of Figures 1-7, the golden fixpoint table's
 // 16 toy-grammar word strings, and its English sentences of at most 8
 // words (tests/parsec/golden_fixpoint_test.cpp builds the same corpus).
-// Each role's final domain must equal the oracle's on the serial, OpenMP,
-// P-RAM, mesh and MasPar backends, under AC-4 filtering, and with the
-// arcs built before unary propagation.
+// Each role's final domain must equal the oracle's on the serial, P-RAM,
+// mesh and MasPar backends, under AC-4 filtering, and with the arcs
+// built before unary propagation.
 #include <gtest/gtest.h>
 
 #include <string>

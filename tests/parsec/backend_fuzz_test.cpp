@@ -1,5 +1,5 @@
 // Randomized cross-backend fuzz over the unified run_backend entry:
-// every backend (serial, OpenMP, P-RAM, MasPar, mesh) and AC-4
+// every backend (serial, P-RAM, MasPar, mesh) and AC-4
 // filtering must produce the identical domains_hash fingerprint for the
 // same sentence, and pooled-arena reuse (NetworkScratch) must not
 // change a single bit.

@@ -1,5 +1,5 @@
 // Cross-engine property test: every engine (sequential, CRCW P-RAM,
-// MasPar, OpenMP host-parallel, and the Fig.-8 topology models) must
+// MasPar, and the Fig.-8 topology models) must
 // reach the identical constraint-network fixpoint on every sentence.
 // Support-removal is confluent, so execution order must not matter.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "grammars/toy_grammar.h"
 #include "parsec/maspar_parser.h"
 #include "parsec/mesh_parser.h"
-#include "parsec/omp_parser.h"
 #include "parsec/pram_parser.h"
 
 namespace {
@@ -42,16 +41,6 @@ TEST_P(EnginesEquivalence, AllEnginesAgreeOnFixpoint) {
     EXPECT_EQ(r.accepted, ref_accepted) << "pram: " << text;
     for (int i = 0; i < ref.num_roles(); ++i)
       EXPECT_EQ(net.domain(i), ref.domain(i)) << "pram role " << i;
-  }
-
-  // OpenMP.
-  {
-    engine::OmpParser omp(bundle_.grammar);
-    cdg::Network net = seq.make_network(s);
-    auto r = omp.parse(net);
-    EXPECT_EQ(r.accepted, ref_accepted) << "omp: " << text;
-    for (int i = 0; i < ref.num_roles(); ++i)
-      EXPECT_EQ(net.domain(i), ref.domain(i)) << "omp role " << i;
   }
 
   // Topology models.

@@ -9,7 +9,6 @@
 #include "grammars/english_grammar.h"
 #include "grammars/sentence_gen.h"
 #include "parsec/maspar_parser.h"
-#include "parsec/omp_parser.h"
 #include "parsec/pram_parser.h"
 
 namespace {
@@ -32,12 +31,6 @@ class EnglishEngines : public ::testing::Test {
     EXPECT_EQ(pram.parse(net_p).accepted, accepted) << label;
     for (int r = 0; r < ref.num_roles(); ++r)
       EXPECT_EQ(net_p.domain(r), ref.domain(r)) << label << " role " << r;
-
-    engine::OmpParser omp(bundle_.grammar);
-    cdg::Network net_o = seq_.make_network(s);
-    EXPECT_EQ(omp.parse(net_o).accepted, accepted) << label;
-    for (int r = 0; r < ref.num_roles(); ++r)
-      EXPECT_EQ(net_o.domain(r), ref.domain(r)) << label << " role " << r;
 
     engine::MasparOptions opt;
     opt.filter_iterations = -1;

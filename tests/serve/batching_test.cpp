@@ -129,9 +129,9 @@ TEST(ServeBatching, IneligibleRequestsFallBackToPerRequestPath) {
   ParseRequest serial;  // eligible
   serial.sentence = bundle.tag("The program runs");
   reqs.push_back(serial);
-  ParseRequest omp = serial;  // ineligible: non-Serial backend
-  omp.backend = engine::Backend::Omp;
-  reqs.push_back(omp);
+  ParseRequest pram = serial;  // ineligible: non-Serial backend
+  pram.backend = engine::Backend::Pram;
+  reqs.push_back(pram);
   ParseRequest deadline = serial;  // ineligible: has a deadline
   deadline.deadline = 10s;
   reqs.push_back(deadline);
@@ -147,7 +147,7 @@ TEST(ServeBatching, IneligibleRequestsFallBackToPerRequestPath) {
     EXPECT_TRUE(responses[i].accepted) << i;
     EXPECT_EQ(responses[i].domains_hash, responses[0].domains_hash) << i;
   }
-  EXPECT_EQ(responses[1].served_backend, engine::Backend::Omp);
+  EXPECT_EQ(responses[1].served_backend, engine::Backend::Pram);
   const auto stats = service.stats();
   EXPECT_EQ(stats.batched_requests, 2u);  // the two eligible ones
   EXPECT_EQ(stats.batches, 1u);

@@ -259,11 +259,8 @@ TEST(ResultCacheService, HitsAreBitIdenticalToMisses) {
   ParseService uncached(bundle.grammar, uopt);
 
   grammars::SentenceGenerator gen(bundle, 2026);
-  const engine::Backend backends[] = {engine::Backend::Serial,
-                                      engine::Backend::Omp,
-                                      engine::Backend::Pram,
-                                      engine::Backend::Maspar,
-                                      engine::Backend::Mesh};
+  const auto& backends = engine::kAllBackends;
+  constexpr std::size_t kBackends = engine::kNumBackends;
   std::set<std::vector<std::string>> seen;
   for (int i = 0; i < 24; ++i) {
     // Unique sentences only: a repeat would turn the expected miss
@@ -281,12 +278,10 @@ TEST(ResultCacheService, HitsAreBitIdenticalToMisses) {
     };
     // Miss (leader) on one backend, hit requested under another: the
     // cached payload must still match, by the engines' determinism.
-    const auto miss =
-        cached.submit(make(backends[i % 5])).get();
-    const auto hit =
-        cached.submit(make(backends[(i + 1) % 5])).get();
+    const auto miss = cached.submit(make(backends[i % kBackends])).get();
+    const auto hit = cached.submit(make(backends[(i + 1) % kBackends])).get();
     const auto fresh =
-        uncached.submit(make(backends[(i + 2) % 5])).get();
+        uncached.submit(make(backends[(i + 2) % kBackends])).get();
 
     ASSERT_EQ(miss.status, RequestStatus::Ok) << "sentence " << i;
     ASSERT_EQ(hit.status, RequestStatus::Ok);
